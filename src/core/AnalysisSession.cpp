@@ -248,7 +248,11 @@ Expected<const std::vector<RaceReport> &> AnalysisSession::races() {
   Expected<const TransformResult &> Tx = transform();
   if (!Tx)
     return Tx.error();
-  Races.emplace(checkRaces(Tx->Transformed, *Index, Tx->Topology));
+  Expected<std::vector<RaceReport>> Found =
+      checkRaces(Tx->Transformed, *Index, Tx->Topology);
+  if (!Found)
+    return Found.error();
+  Races.emplace(std::move(*Found));
   emit(StageKind::RaceCheck, /*FromCache=*/false);
   return *Races;
 }

@@ -318,6 +318,14 @@ bool perfplay::serve::writeFrame(int Fd, FrameType Type,
 
 // -- ServeClient -------------------------------------------------------------
 
+/// Read deadline of stats() and shutdown().  The daemon answers both
+/// without running an analysis; one that stays silent this long lost
+/// the connection (e.g. it shut down with the connection unserved).
+/// The wait also covers a fresh connection's time in the daemon's
+/// queue, so a saturated daemon can exceed it.  analyze() has no
+/// deadline: its reply time is a full analysis of an unbounded trace.
+static constexpr int ControlReadTimeoutMs = 30000;
+
 ServeClient::~ServeClient() { close(); }
 
 void ServeClient::close() {
@@ -351,14 +359,20 @@ Expected<void> ServeClient::connect(const std::string &SocketPath) {
 }
 
 Expected<Frame> ServeClient::roundTrip(FrameType Type,
-                                       const std::vector<uint8_t> &Payload) {
+                                       const std::vector<uint8_t> &Payload,
+                                       int ReadTimeoutMs) {
   if (Fd < 0)
     return PipelineError(ErrorCode::ProtocolError, "client not connected");
+  std::string SendErr;
+  bool Sent = writeFrame(Fd, Type, Payload, SendErr);
+  // A daemon that refuses the connection (queue full, shutting down)
+  // writes its typed error and closes without reading the request, so
+  // the send can fail; the error frame is still readable.
   std::string Err;
-  if (!writeFrame(Fd, Type, Payload, Err))
-    return PipelineError(ErrorCode::ProtocolError, std::move(Err));
   Frame Response;
-  int Rc = readFrame(Fd, Response, Limits, Err);
+  int Rc = readFrame(Fd, Response, Limits, Err, Sent ? ReadTimeoutMs : 1);
+  if (!Sent && (Rc != 1 || Response.Type != FrameType::ErrorResponse))
+    return PipelineError(ErrorCode::ProtocolError, std::move(SendErr));
   if (Rc == 0)
     return PipelineError(ErrorCode::ProtocolError,
                          "daemon closed the connection");
@@ -377,7 +391,8 @@ Expected<Frame> ServeClient::roundTrip(FrameType Type,
 
 Expected<ResultSummary> ServeClient::analyze(const AnalyzeRequest &Req) {
   Expected<Frame> FrameOr =
-      roundTrip(FrameType::AnalyzeRequest, encodeAnalyzeRequest(Req));
+      roundTrip(FrameType::AnalyzeRequest, encodeAnalyzeRequest(Req),
+                /*ReadTimeoutMs=*/0);
   if (!FrameOr)
     return FrameOr.error();
   if (FrameOr->Type != FrameType::ResultResponse)
@@ -406,11 +421,13 @@ static Expected<ServeStats> expectStats(Expected<Frame> FrameOr) {
 }
 
 Expected<ServeStats> ServeClient::stats() {
-  return expectStats(roundTrip(FrameType::StatsRequest, {}));
+  return expectStats(
+      roundTrip(FrameType::StatsRequest, {}, ControlReadTimeoutMs));
 }
 
 Expected<ServeStats> ServeClient::shutdown() {
-  return expectStats(roundTrip(FrameType::ShutdownRequest, {}));
+  return expectStats(
+      roundTrip(FrameType::ShutdownRequest, {}, ControlReadTimeoutMs));
 }
 
 bool ServeClient::sendRaw(const std::vector<uint8_t> &Bytes) {

@@ -227,11 +227,15 @@ public:
   /// ErrorCode::ProtocolError.
   Expected<ResultSummary> analyze(const AnalyzeRequest &Req);
 
-  /// Fetches the daemon's counters.
+  /// Fetches the daemon's counters.  The daemon answers without
+  /// running an analysis, so a reply silent for 30 s fails the call
+  /// with ErrorCode::ProtocolError instead of blocking forever.
+  /// analyze() waits as long as the analysis takes.
   Expected<ServeStats> stats();
 
   /// Asks the daemon to drain and exit.  The daemon acknowledges with
-  /// a StatsResponse (its final counters) before closing.
+  /// a StatsResponse (its final counters) before closing.  Same 30 s
+  /// read deadline as stats().
   Expected<ServeStats> shutdown();
 
   /// Raw escape hatch for the hostile-protocol tests: sends \p Bytes
@@ -242,8 +246,11 @@ public:
   int readRaw(Frame &Out, std::string &Err, int IdleTimeoutMs = 0);
 
 private:
+  /// \p ReadTimeoutMs bounds each wait for response bytes (0 =
+  /// forever).
   Expected<Frame> roundTrip(FrameType Type,
-                            const std::vector<uint8_t> &Payload);
+                            const std::vector<uint8_t> &Payload,
+                            int ReadTimeoutMs);
 
   int Fd = -1;
   FrameLimits Limits;

@@ -91,9 +91,19 @@ void Server::stop() {
   QueueCv.notifyAll();
   joinAll();
   if (ListenFd >= 0) {
+    // Unlink first so no new client can connect, then answer the
+    // connections still in the listen backlog: closing the socket over
+    // them would reset them without a typed error.
+    ::unlink(Opts.SocketPath.c_str());
+    struct pollfd Pfd = {ListenFd, POLLIN, 0};
+    while (::poll(&Pfd, 1, 0) > 0) {
+      int Fd = ::accept(ListenFd, nullptr, nullptr);
+      if (Fd < 0)
+        break;
+      reject(Fd, "daemon shut down before serving the connection");
+    }
     ::close(ListenFd);
     ListenFd = -1;
-    ::unlink(Opts.SocketPath.c_str());
   }
 }
 
@@ -105,6 +115,23 @@ void Server::joinAll() {
   for (std::thread &T : WorkerThreads)
     if (T.joinable())
       T.join();
+  // The accept loop can queue a connection after every worker saw an
+  // empty queue and exited.  Answer it, or its client blocks forever.
+  std::deque<int> Unserved;
+  {
+    MutexLock Lock(QueueMu);
+    Unserved.swap(Queue);
+  }
+  for (int Fd : Unserved)
+    reject(Fd, "daemon shut down before serving the connection");
+}
+
+void Server::reject(int Fd, const char *Why) {
+  RequestsRejected.fetch_add(1, std::memory_order_relaxed);
+  std::string Err;
+  writeFrame(Fd, FrameType::ErrorResponse,
+             encodeError(ErrorCode::ServerOverloaded, Why), Err);
+  ::close(Fd);
 }
 
 void Server::acceptLoop() {
@@ -128,13 +155,7 @@ void Server::acceptLoop() {
     if (Shed) {
       // Admission control: answer with the typed overload error and
       // close instead of queueing unboundedly.
-      RequestsRejected.fetch_add(1, std::memory_order_relaxed);
-      std::string Err;
-      writeFrame(Fd, FrameType::ErrorResponse,
-                 encodeError(ErrorCode::ServerOverloaded,
-                             "connection queue full; retry later"),
-                 Err);
-      ::close(Fd);
+      reject(Fd, "connection queue full; retry later");
     } else {
       QueueCv.notifyOne();
     }

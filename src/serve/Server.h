@@ -92,11 +92,14 @@ public:
 
   /// Drains and joins: stops accepting, wakes every worker, lets
   /// in-flight requests finish, closes idle connections, joins all
-  /// threads, and unlinks the socket.  Idempotent.
+  /// threads, unlinks the socket, and answers every connection still
+  /// queued or in the listen backlog with ErrorCode::ServerOverloaded.
+  /// Idempotent.
   void stop() EXCLUDES(QueueMu);
 
-  /// Blocks until the daemon stopped (ShutdownRequest or stop()).
-  void wait();
+  /// Blocks until the daemon stopped (ShutdownRequest or stop()); like
+  /// stop(), answers connections still queued once the threads joined.
+  void wait() EXCLUDES(QueueMu);
 
   /// True once a ShutdownRequest (or stop()) was seen.
   bool stopping() const { return Stopping.load(); }
@@ -132,7 +135,13 @@ private:
   /// queue.
   int popConnection() EXCLUDES(QueueMu);
 
-  void joinAll();
+  /// Joins every thread, then answers and closes the connections the
+  /// accept loop queued after the workers' final drain.
+  void joinAll() EXCLUDES(QueueMu);
+
+  /// Answers \p Fd with ErrorCode::ServerOverloaded (\p Why as the
+  /// message), counts it as rejected, and closes it.
+  void reject(int Fd, const char *Why);
 
   ServerOptions Opts;
   Engine Eng;

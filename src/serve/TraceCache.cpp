@@ -5,6 +5,8 @@
 #include "support/MappedFile.h"
 #include "trace/TraceIO.h"
 
+#include <optional>
+
 using namespace perfplay;
 using namespace perfplay::serve;
 
@@ -52,19 +54,29 @@ Expected<Trace> TraceCache::getTraceBytes(const uint8_t *Data, size_t Size,
   if (Bypass || BudgetBytes == 0)
     return parse();
 
-  for (;;) {
-    // Hit path: shared lock only; recency goes through the atomic
-    // clock so concurrent hits never serialize on the writer path.
+  // Hit path: shared lock only; recency goes through the atomic clock
+  // so concurrent hits never serialize on the writer path.
+  auto lookup = [&]() -> std::optional<Trace> {
+    SharedMutexReadLock Lock(CacheMu);
+    auto It = Traces.find(Hash);
+    if (It == Traces.end())
+      return std::nullopt;
+    It->second->LastUse.store(bumpClock(), std::memory_order_relaxed);
+    TraceHits.fetch_add(1, std::memory_order_relaxed);
+    FromCache = true;
+    return Trace(*It->second->Tr);
+  };
+  auto releaseClaim = [&] {
     {
-      SharedMutexReadLock Lock(CacheMu);
-      auto It = Traces.find(Hash);
-      if (It != Traces.end()) {
-        It->second->LastUse.store(bumpClock(), std::memory_order_relaxed);
-        TraceHits.fetch_add(1, std::memory_order_relaxed);
-        FromCache = true;
-        return Trace(*It->second->Tr);
-      }
+      MutexLock Lock(FlightMu);
+      InFlight.erase(Hash);
     }
+    FlightCv.notifyAll();
+  };
+
+  for (;;) {
+    if (std::optional<Trace> Hit = lookup())
+      return std::move(*Hit);
 
     // Miss: claim the parse, or wait for whoever already claimed it
     // and re-check the cache.  FlightMu is a leaf — CacheMu is not
@@ -77,6 +89,13 @@ Expected<Trace> TraceCache::getTraceBytes(const uint8_t *Data, size_t Size,
         continue; // The parser finished (or failed) — re-check.
       }
       InFlight.insert(Hash);
+    }
+    // A parser publishes its trace before releasing its claim, so one
+    // that finished between the lookup above and this claim is caught
+    // here instead of being parsed twice.
+    if (std::optional<Trace> Hit = lookup()) {
+      releaseClaim();
+      return std::move(*Hit);
     }
     break;
   }
@@ -97,12 +116,7 @@ Expected<Trace> TraceCache::getTraceBytes(const uint8_t *Data, size_t Size,
       evictToBudget();
     }
   }
-
-  {
-    MutexLock Lock(FlightMu);
-    InFlight.erase(Hash);
-  }
-  FlightCv.notifyAll();
+  releaseClaim();
   return Parsed;
 }
 

@@ -57,7 +57,8 @@ enum class ErrorCode : uint8_t {
   ProtocolError,
   /// The serve daemon's admission control rejected the request because
   /// its connection queue was full; the client should back off and
-  /// retry (serve/Server.h).
+  /// retry (serve/Server.h).  A connection still queued when the
+  /// daemon shuts down is answered with this code too.
   ServerOverloaded,
 };
 

@@ -3,183 +3,285 @@
 #include "transform/RaceCheck.h"
 
 #include "detect/Classify.h"
-#include "support/AddrSet.h"
+#include "detect/ReversedReplay.h"
 
 #include <algorithm>
 #include <cassert>
-#include <set>
-#include <tuple>
+#include <optional>
+#include <string>
+#include <unordered_set>
 
 using namespace perfplay;
 
 namespace {
 
-/// One shared access with its protection context.
-struct AccessRecord {
-  ThreadId Thread;
+/// One shared access.  Its enclosing critical sections are Inner and
+/// Inner's Parent chain.
+struct Access {
   AddrId Addr;
+  /// Position in trace order (thread-major, then program order).
+  uint32_t Order;
+  ThreadId Thread;
+  /// Innermost enclosing critical section (InvalidId if unlocked).
+  uint32_t Inner;
   bool IsWrite;
-  /// Enclosing critical sections, outermost first (empty if unlocked).
-  std::vector<uint32_t> Enclosing;
+};
+
+/// Flat per-section state, indexed by global critical-section id.
+struct Sections {
+  std::vector<ThreadId> Thread;
+  /// Position of the section in its thread's program order.
+  std::vector<uint32_t> Index;
+  /// Section still open when this one opened (InvalidId if none).
+  std::vector<uint32_t> Parent;
+  /// CSR lockset table: section Cs holds the sorted, distinct locks
+  /// Locks[LockBegin[Cs], LockBegin[Cs + 1]).
+  std::vector<uint32_t> LockBegin{0};
+  std::vector<LockId> Locks;
+
+  size_t size() const { return Thread.size(); }
+};
+
+/// Found race candidate: the first pair of accesses (by trace order)
+/// exposing one (section pair, address) combination.
+struct Candidate {
+  const Access *A;
+  const Access *B;
 };
 
 } // namespace
 
-/// Reachability over program order + causal edges + constraints,
-/// computed as a simple transitive closure (bit matrix).  Trace sizes
-/// fed through the race check are pipeline-bounded.
-static std::vector<std::vector<bool>>
-computeHappensBefore(const Trace &Tr, const TopologyGraph &Topo) {
-  size_t N = Tr.numCriticalSections();
-  std::vector<std::vector<bool>> Reach(N, std::vector<bool>(N, false));
-  auto addEdge = [&](uint32_t A, uint32_t B) { Reach[A][B] = true; };
-
-  // Program order within each thread.
+/// One pass over the events: numbers the sections, records each one's
+/// enclosing section and lockset, and collects every shared access.
+static void collect(const Trace &Tr, Sections &S,
+                    std::vector<Access> &Accesses) {
+  std::vector<uint32_t> Open;
   for (ThreadId T = 0; T != Tr.Threads.size(); ++T) {
-    uint32_t Count = Tr.numCriticalSections(T);
-    for (uint32_t I = 0; I + 1 < Count; ++I)
-      addEdge(Tr.globalCsId(CsRef{T, I}), Tr.globalCsId(CsRef{T, I + 1}));
-  }
-  for (const TopologyEdge &E : Topo.edges())
-    addEdge(E.From, E.To);
-  for (const OrderConstraint &C : Tr.Constraints)
-    addEdge(C.Before, C.After);
-
-  // Floyd-Warshall style closure.
-  for (size_t K = 0; K != N; ++K)
-    for (size_t I = 0; I != N; ++I) {
-      if (!Reach[I][K])
-        continue;
-      for (size_t J = 0; J != N; ++J)
-        if (Reach[K][J])
-          Reach[I][J] = true;
-    }
-  return Reach;
-}
-
-/// Sorted lock ids of a section's lockset in the transformed trace.
-static std::vector<LockId> locksetLocks(const Trace &Tr, uint32_t Cs) {
-  std::vector<LockId> Out;
-  CsRef Ref = Tr.csRefOf(Cs);
-  uint32_t Index = 0;
-  for (const Event &E : Tr.Threads[Ref.Thread].Events)
-    if (isSectionOpen(E)) {
-      if (Index++ != Ref.Index)
-        continue;
-      if (E.Lockset == InvalidId) {
-        Out.push_back(E.Lock);
-      } else {
-        for (const LocksetEntry &Entry : Tr.Locksets[E.Lockset].Entries)
-          Out.push_back(Entry.Lock);
-      }
-      break;
-    }
-  std::sort(Out.begin(), Out.end());
-  Out.erase(std::unique(Out.begin(), Out.end()), Out.end());
-  return Out;
-}
-
-std::vector<RaceReport> perfplay::checkRaces(const Trace &Transformed,
-                                             const CsIndex &Index,
-                                             const TopologyGraph &Topology) {
-  const Trace &Tr = Transformed;
-
-  // Collect every shared access with its enclosing sections.
-  std::vector<AccessRecord> Accesses;
-  for (ThreadId T = 0; T != Tr.Threads.size(); ++T) {
-    std::vector<uint32_t> Open;
+    Open.clear();
     uint32_t NextIndex = 0;
     for (const Event &E : Tr.Threads[T].Events) {
+      // A failed trylock opens no section.
+      if (isSectionOpen(E)) {
+        uint32_t Cs = static_cast<uint32_t>(S.size());
+        S.Thread.push_back(T);
+        S.Index.push_back(NextIndex++);
+        S.Parent.push_back(Open.empty() ? InvalidId : Open.back());
+        size_t Begin = S.Locks.size();
+        if (E.Lockset == InvalidId) {
+          S.Locks.push_back(E.Lock);
+        } else {
+          for (const LocksetEntry &Entry : Tr.Locksets[E.Lockset].Entries)
+            S.Locks.push_back(Entry.Lock);
+          std::sort(S.Locks.begin() + Begin, S.Locks.end());
+          S.Locks.erase(std::unique(S.Locks.begin() + Begin, S.Locks.end()),
+                        S.Locks.end());
+        }
+        S.LockBegin.push_back(static_cast<uint32_t>(S.Locks.size()));
+        Open.push_back(Cs);
+        continue;
+      }
       switch (E.Kind) {
-      case EventKind::LockAcquire:
-      case EventKind::RwAcquireRead:
-      case EventKind::RwAcquireWrite:
-      case EventKind::TryAcquire:
-        // A failed trylock opens no section.
-        if (isSectionOpen(E))
-          Open.push_back(Tr.globalCsId(CsRef{T, NextIndex++}));
-        break;
       case EventKind::LockRelease:
         assert(!Open.empty() && "unbalanced release");
         Open.pop_back();
         break;
       case EventKind::Read:
       case EventKind::Write:
-        Accesses.push_back(
-            AccessRecord{T, E.Addr, E.Kind == EventKind::Write, Open});
+        Accesses.push_back(Access{E.Addr,
+                                  static_cast<uint32_t>(Accesses.size()), T,
+                                  Open.empty() ? InvalidId : Open.back(),
+                                  E.Kind == EventKind::Write});
         break;
       default:
         break;
       }
     }
   }
+}
 
-  std::vector<std::vector<bool>> Reach =
-      computeHappensBefore(Tr, Topology);
+/// Vector clocks over program order + causal edges + constraints, in
+/// one topological pass.  The result is an N x T block:
+/// Clock[Cs * T + U] is 1 + the highest program-order index of a
+/// thread-U section that reaches Cs (0 if none), so a section X
+/// reaches a different section Y iff Clock[Y * T + thread(X)] >
+/// index(X).
+static Expected<std::vector<uint32_t>>
+computeClocks(const Trace &Tr, const Sections &S, const TopologyGraph &Topo) {
+  const size_t N = S.size();
+  const size_t T = Tr.numThreads();
 
-  // Lockset cache per section, in chunked-bitmap form: the all-pairs
-  // protectedPair probe below is intersection-bound, and the AddrSet
-  // digest rejects the common disjoint-lockset case in O(1).
-  size_t NumCs = Tr.numCriticalSections();
-  std::vector<AddrSet> Locksets(NumCs);
-  std::vector<bool> LocksetKnown(NumCs, false);
-  auto locksOf = [&](uint32_t Cs) -> const AddrSet & {
-    if (!LocksetKnown[Cs]) {
-      for (LockId L : locksetLocks(Tr, Cs))
-        Locksets[Cs].insert(L);
-      LocksetKnown[Cs] = true;
+  // CSR successor lists of the explicit edges; program order (Cs ->
+  // Cs + 1 within a thread) stays implicit.
+  auto forEachEdge = [&](auto &&Visit) {
+    for (const TopologyEdge &E : Topo.edges())
+      Visit(E.From, E.To);
+    for (const OrderConstraint &C : Tr.Constraints)
+      Visit(C.Before, C.After);
+  };
+  std::vector<uint32_t> SuccBegin(N + 1, 0);
+  std::vector<uint32_t> InDegree(N, 0);
+  bool MissingSection = false;
+  forEachEdge([&](uint32_t From, uint32_t To) {
+    if (From >= N || To >= N) {
+      MissingSection = true;
+      return;
     }
-    return Locksets[Cs];
-  };
+    ++SuccBegin[From + 1];
+    ++InDegree[To];
+  });
+  if (MissingSection)
+    return PipelineError(ErrorCode::InvalidTrace,
+                         "race check: a causal edge or constraint names a "
+                         "missing critical section");
+  for (size_t Cs = 0; Cs != N; ++Cs)
+    SuccBegin[Cs + 1] += SuccBegin[Cs];
+  std::vector<uint32_t> Succ(SuccBegin[N]);
+  std::vector<uint32_t> Cursor(SuccBegin.begin(), SuccBegin.end() - 1);
+  forEachEdge([&](uint32_t From, uint32_t To) { Succ[Cursor[From]++] = To; });
 
-  auto ordered = [&](const AccessRecord &A, const AccessRecord &B) {
-    for (uint32_t CsA : A.Enclosing)
-      for (uint32_t CsB : B.Enclosing)
-        if (Reach[CsA][CsB] || Reach[CsB][CsA])
+  auto hasNextInThread = [&](size_t Cs) {
+    return Cs + 1 < N && S.Thread[Cs + 1] == S.Thread[Cs];
+  };
+  for (size_t Cs = 0; Cs != N; ++Cs)
+    if (hasNextInThread(Cs))
+      ++InDegree[Cs + 1];
+
+  std::vector<uint32_t> Clock(N * T, 0);
+  std::vector<uint32_t> Ready;
+  for (size_t Cs = 0; Cs != N; ++Cs)
+    if (InDegree[Cs] == 0)
+      Ready.push_back(static_cast<uint32_t>(Cs));
+  size_t Done = 0;
+  while (!Ready.empty()) {
+    uint32_t Cs = Ready.back();
+    Ready.pop_back();
+    ++Done;
+    const uint32_t *From = &Clock[Cs * T];
+    Clock[Cs * T + S.Thread[Cs]] = S.Index[Cs] + 1;
+    auto propagate = [&](uint32_t To) {
+      uint32_t *Dst = &Clock[To * T];
+      for (size_t U = 0; U != T; ++U)
+        Dst[U] = std::max(Dst[U], From[U]);
+      if (--InDegree[To] == 0)
+        Ready.push_back(To);
+    };
+    if (hasNextInThread(Cs))
+      propagate(Cs + 1);
+    for (uint32_t I = SuccBegin[Cs]; I != SuccBegin[Cs + 1]; ++I)
+      propagate(Succ[I]);
+  }
+  if (Done != N)
+    return PipelineError(ErrorCode::InvalidTrace,
+                         "race check: program order, causal edges and "
+                         "constraints form a cycle (" +
+                             std::to_string(N - Done) +
+                             " critical sections on or behind it)");
+  return Clock;
+}
+
+Expected<std::vector<RaceReport>>
+perfplay::checkRaces(const Trace &Transformed, const CsIndex &Index,
+                     const TopologyGraph &Topology) {
+  const Trace &Tr = Transformed;
+  Sections S;
+  std::vector<Access> Accesses;
+  collect(Tr, S, Accesses);
+
+  Expected<std::vector<uint32_t>> ClockOr = computeClocks(Tr, S, Topology);
+  if (!ClockOr)
+    return ClockOr.error();
+  const std::vector<uint32_t> &Clock = *ClockOr;
+  const size_t T = Tr.numThreads();
+
+  auto reaches = [&](uint32_t X, uint32_t Y) {
+    return Clock[Y * T + S.Thread[X]] > S.Index[X];
+  };
+  // Accesses on different threads: every enclosing pair is a pair of
+  // distinct sections.
+  auto ordered = [&](const Access &A, const Access &B) {
+    for (uint32_t X = A.Inner; X != InvalidId; X = S.Parent[X])
+      for (uint32_t Y = B.Inner; Y != InvalidId; Y = S.Parent[Y])
+        if (reaches(X, Y) || reaches(Y, X))
+          return true;
+    return false;
+  };
+  auto shareLock = [&](uint32_t X, uint32_t Y) {
+    const LockId *P = S.Locks.data() + S.LockBegin[X];
+    const LockId *PEnd = S.Locks.data() + S.LockBegin[X + 1];
+    const LockId *Q = S.Locks.data() + S.LockBegin[Y];
+    const LockId *QEnd = S.Locks.data() + S.LockBegin[Y + 1];
+    while (P != PEnd && Q != QEnd) {
+      if (*P == *Q)
+        return true;
+      if (*P < *Q)
+        ++P;
+      else
+        ++Q;
+    }
+    return false;
+  };
+  auto protectedPair = [&](const Access &A, const Access &B) {
+    for (uint32_t X = A.Inner; X != InvalidId; X = S.Parent[X])
+      for (uint32_t Y = B.Inner; Y != InvalidId; Y = S.Parent[Y])
+        if (shareLock(X, Y))
           return true;
     return false;
   };
 
-  auto protectedPair = [&](const AccessRecord &A, const AccessRecord &B) {
-    for (uint32_t CsA : A.Enclosing)
-      for (uint32_t CsB : B.Enclosing)
-        if (locksOf(CsA).intersects(locksOf(CsB)))
-          return true;
-    return false;
-  };
+  // Address buckets, each in trace order: only same-address pairs can
+  // conflict, and scanning a bucket pair by pair meets every (section
+  // pair, address) combination first at its earliest access pair.
+  std::stable_sort(Accesses.begin(), Accesses.end(),
+                   [](const Access &L, const Access &R) {
+                     return L.Addr < R.Addr;
+                   });
+
+  std::vector<Candidate> Found;
+  std::unordered_set<uint64_t> Seen; // (CsLo, CsHi) within one bucket.
+  for (auto Begin = Accesses.begin(), End = Begin; Begin != Accesses.end();
+       Begin = End) {
+    bool AnyWrite = false;
+    for (End = Begin; End != Accesses.end() && End->Addr == Begin->Addr;
+         ++End)
+      AnyWrite |= End->IsWrite;
+    if (!AnyWrite)
+      continue;
+    Seen.clear();
+    for (auto A = Begin; A != End; ++A)
+      for (auto B = A + 1; B != End; ++B) {
+        if (A->Thread == B->Thread || (!A->IsWrite && !B->IsWrite))
+          continue;
+        if (ordered(*A, *B) || protectedPair(*A, *B))
+          continue;
+        uint64_t Lo = std::min(A->Inner, B->Inner);
+        uint64_t Hi = std::max(A->Inner, B->Inner);
+        if (Seen.insert(Lo << 32 | Hi).second)
+          Found.push_back(Candidate{&*A, &*B});
+      }
+  }
+  std::sort(Found.begin(), Found.end(),
+            [](const Candidate &L, const Candidate &R) {
+              return L.A->Order != R.A->Order ? L.A->Order < R.A->Order
+                                              : L.B->Order < R.B->Order;
+            });
 
   // Theorem 1 tolerates *benign* interleavings (redundant writes,
   // commutative updates): a conflicting but order-insensitive pair of
   // sections was parallelized on purpose and is not a race.
-  MemoryImage Initial = MemoryImage::initialOf(Tr);
-  auto benignSections = [&](uint32_t CsA, uint32_t CsB) {
-    if (CsA == InvalidId || CsB == InvalidId)
-      return false;
-    return classifyPair(Tr, Initial, Index.byGlobalId(CsA),
-                        Index.byGlobalId(CsB)) != UlcpKind::TrueContention;
-  };
-
+  std::optional<MemoryImage> Initial;
   std::vector<RaceReport> Races;
-  std::set<std::tuple<uint32_t, uint32_t, AddrId>> Seen;
-  for (size_t I = 0; I != Accesses.size(); ++I) {
-    const AccessRecord &A = Accesses[I];
-    for (size_t J = I + 1; J != Accesses.size(); ++J) {
-      const AccessRecord &B = Accesses[J];
-      if (A.Thread == B.Thread || A.Addr != B.Addr)
+  for (const Candidate &C : Found) {
+    const Access &A = *C.A;
+    const Access &B = *C.B;
+    if (A.Inner != InvalidId && B.Inner != InvalidId) {
+      if (!Initial)
+        Initial.emplace(MemoryImage::initialOf(Tr));
+      if (classifyPair(Tr, *Initial, Index.byGlobalId(A.Inner),
+                       Index.byGlobalId(B.Inner)) !=
+          UlcpKind::TrueContention)
         continue;
-      if (!A.IsWrite && !B.IsWrite)
-        continue;
-      if (protectedPair(A, B) || ordered(A, B))
-        continue;
-      uint32_t CsA = A.Enclosing.empty() ? InvalidId : A.Enclosing.back();
-      uint32_t CsB = B.Enclosing.empty() ? InvalidId : B.Enclosing.back();
-      uint32_t Lo = std::min(CsA, CsB), Hi = std::max(CsA, CsB);
-      if (!Seen.insert({Lo, Hi, A.Addr}).second)
-        continue;
-      if (benignSections(CsA, CsB))
-        continue;
-      Races.push_back(RaceReport{A.Addr, A.Thread, B.Thread, CsA, CsB});
     }
+    Races.push_back(RaceReport{A.Addr, A.Thread, B.Thread, A.Inner, B.Inner});
   }
   return Races;
 }

@@ -15,12 +15,18 @@
 /// are not ordered by program order, causal edges or RULE 2
 /// constraints.
 ///
+/// Happens-before is a vector clock per critical section, computed in
+/// one topological pass over that order (O((N + E) * T) for N
+/// sections, E edges and T threads); accesses are paired only within
+/// their address bucket.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef PERFPLAY_TRANSFORM_RACECHECK_H
 #define PERFPLAY_TRANSFORM_RACECHECK_H
 
 #include "detect/CriticalSection.h"
+#include "support/Expected.h"
 #include "trace/Trace.h"
 #include "transform/Topology.h"
 
@@ -43,10 +49,16 @@ struct RaceReport {
 /// the transformation and \p Index built from the *original* trace,
 /// whose critical-section numbering it shares) and returns the races
 /// the transformation would expose.  Duplicate (CsA, CsB, Addr)
-/// combinations are reported once.
-std::vector<RaceReport> checkRaces(const Trace &Transformed,
-                                   const CsIndex &Index,
-                                   const TopologyGraph &Topology);
+/// combinations are reported once, in the order of the first access
+/// pair (trace order, thread-major) that exposes each.
+///
+/// Precondition: program order, \p Topology's edges and the trace's
+/// constraints form an acyclic order (a cyclic constraint set already
+/// fails the session's recording run).  A cycle, or an edge naming a
+/// section the trace does not have, yields ErrorCode::InvalidTrace.
+Expected<std::vector<RaceReport>> checkRaces(const Trace &Transformed,
+                                             const CsIndex &Index,
+                                             const TopologyGraph &Topology);
 
 } // namespace perfplay
 

@@ -129,9 +129,8 @@ TEST_P(AppPipelineTest, MutualExclusionInOriginalReplay) {
 
 TEST_P(AppPipelineTest, NoRacesExposedByTransformation) {
   // Theorem 1: for these models (no deliberate races) the transformed
-  // trace must be race-free.  Restricted to the small-scale traces to
-  // keep the quadratic check fast.
-  Trace Tr = generateWorkload(app().Factory(2, 0.1));
+  // trace must be race-free.
+  Trace Tr = generateWorkload(app().Factory(8, 1.0));
   PipelineOptions Opts;
   Opts.CheckRaces = true;
   PipelineResult R = runPerfPlay(std::move(Tr), Opts);

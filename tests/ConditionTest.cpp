@@ -29,16 +29,18 @@ Trace recordCondWait() {
   SharedVar<uint64_t> Flag(R, "cond_flag");
   std::atomic<bool> Ready{false};
 
-  std::thread Waiter([&] {
-    ThreadId T = R.registerThread();
+  // Register on this thread, before spawning, so the waiter is
+  // thread 0 and the setter thread 1 however the two get scheduled.
+  ThreadId WaiterId = R.registerThread();
+  ThreadId SetterId = R.registerThread();
+  std::thread Waiter([&, T = WaiterId] {
     Mu.lock(T, PERFPLAY_CODE_SITE(R, 30, 40));
     Cond.wait(Mu, T, [&] { return Ready.load(); },
               PERFPLAY_CODE_SITE(R, 35, 40));
     Flag.load(T);
     Mu.unlock(T);
   });
-  std::thread Setter([&] {
-    ThreadId T = R.registerThread();
+  std::thread Setter([&, T = SetterId] {
     // Give the waiter a chance to park first (timing is best-effort;
     // the trace shape below holds either way).
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
@@ -113,16 +115,16 @@ Trace recordNamedCondWait() {
   SharedVar<uint64_t> Flag(R, "named_cond_flag");
   std::atomic<bool> Ready{false};
 
-  std::thread Waiter([&] {
-    ThreadId T = R.registerThread();
+  ThreadId WaiterId = R.registerThread();
+  ThreadId SetterId = R.registerThread();
+  std::thread Waiter([&, T = WaiterId] {
     Mu.lock(T, PERFPLAY_CODE_SITE(R, 30, 40));
     Cond.wait(Mu, T, [&] { return Ready.load(); },
               PERFPLAY_CODE_SITE(R, 35, 40));
     Flag.load(T);
     Mu.unlock(T);
   });
-  std::thread Setter([&] {
-    ThreadId T = R.registerThread();
+  std::thread Setter([&, T = SetterId] {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
     Mu.lock(T, PERFPLAY_CODE_SITE(R, 50, 55));
     Flag.store(T, 1);

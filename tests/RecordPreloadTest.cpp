@@ -199,8 +199,11 @@ Trace recordMirrorScripted() {
   sem_init(&S4, 0, 0);
   bool Ready = false;
 
-  std::thread T1([&]() NO_THREAD_SAFETY_ANALYSIS {
-    ThreadId T = R.registerThread();
+  // Both ids are registered here, before spawning, so T1 is thread 0
+  // and T2 thread 1 on every run.
+  ThreadId T1Id = R.registerThread();
+  ThreadId T2Id = R.registerThread();
+  std::thread T1([&, T = T1Id]() NO_THREAD_SAFETY_ANALYSIS {
     M1.lock(T);
     sem_post(&S1);
     sem_wait(&S2);
@@ -226,8 +229,7 @@ Trace recordMirrorScripted() {
     MC.unlock(T);
     M1.unlock(T);
   });
-  std::thread T2([&]() NO_THREAD_SAFETY_ANALYSIS {
-    ThreadId T = R.registerThread();
+  std::thread T2([&, T = T2Id]() NO_THREAD_SAFETY_ANALYSIS {
     sem_wait(&S1);
     if (M1.tryLock(T)) {
       ADD_FAILURE() << "trylock succeeded against a held lock";

@@ -17,8 +17,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <string>
+#include <sys/socket.h>
+#include <sys/un.h>
 #include <thread>
 #include <unistd.h>
 #include <vector>
@@ -77,6 +81,26 @@ ServerOptions baseOptions(const std::string &Socket) {
   Opts.SocketPath = Socket;
   Opts.NumWorkers = 2;
   return Opts;
+}
+
+/// A bare listening unix socket at \p Path: a stand-in daemon whose
+/// side of each connection the test drives by hand.
+int listenAt(const std::string &Path) {
+  ::unlink(Path.c_str());
+  int Listen = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (Listen < 0)
+    return -1;
+  struct sockaddr_un Addr;
+  std::memset(&Addr, 0, sizeof(Addr));
+  Addr.sun_family = AF_UNIX;
+  std::memcpy(Addr.sun_path, Path.c_str(), Path.size() + 1);
+  if (::bind(Listen, reinterpret_cast<struct sockaddr *>(&Addr),
+             sizeof(Addr)) != 0 ||
+      ::listen(Listen, 4) != 0) {
+    ::close(Listen);
+    return -1;
+  }
+  return Listen;
 }
 
 } // namespace
@@ -316,4 +340,92 @@ TEST(ServeTest, ShutdownHandshakeAndTypedErrors) {
 
   Daemon.stop();
   EXPECT_TRUE(Daemon.stopping());
+}
+
+// A connection the daemon accepts while it stops must be answered.
+// After a shutdown request the lone worker exits as soon as its queue
+// is empty, while the accept loop sits out the rest of its 100 ms poll
+// slice.  A client connecting in that slice is queued with no worker
+// left to serve it; one connecting after it waits in the listen
+// backlog.  stop() must answer both with the typed error; without that
+// the client waits out stats()' whole 30 s read deadline.  Whether the
+// client, connecting 20 ms after the shutdown reply, lands in the slice
+// depends on scheduling, so the sequence runs five times.
+TEST(ServeTest, ConnectionQueuedDuringStopIsAnswered) {
+  for (unsigned Attempt = 0; Attempt != 5; ++Attempt) {
+    ServerOptions Opts = baseOptions(socketPath("late"));
+    Opts.NumWorkers = 1;
+    Server Daemon(Opts);
+    startOrFail(Daemon);
+    {
+      ServeClient Shut;
+      ASSERT_TRUE(Shut.connect(Opts.SocketPath).ok());
+      ASSERT_TRUE(Shut.shutdown().ok());
+    }
+    // Let the worker see the stop flag and exit.
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+
+    ServeClient Late;
+    ASSERT_TRUE(Late.connect(Opts.SocketPath).ok());
+    auto Start = std::chrono::steady_clock::now();
+    std::thread Stopper([&] { Daemon.stop(); });
+    Expected<ServeStats> Got = Late.stats();
+    auto Waited = std::chrono::steady_clock::now() - Start;
+    Stopper.join();
+
+    EXPECT_LT(Waited, std::chrono::seconds(10)) << "attempt " << Attempt;
+    // Served before the worker left, or refused with the typed error.
+    if (!Got.ok())
+      EXPECT_EQ(Got.code(), ErrorCode::ServerOverloaded)
+          << "attempt " << Attempt << ": " << Got.message();
+  }
+}
+
+// A peer that accepts but never answers fails a bounded read (the
+// path stats() and shutdown() take) with a timeout instead of blocking
+// forever.
+TEST(ServeTest, ClientReadDeadline) {
+  std::string Path = socketPath("silent");
+  int Listen = listenAt(Path);
+  ASSERT_GE(Listen, 0);
+
+  ServeClient Client;
+  ASSERT_TRUE(Client.connect(Path).ok());
+  Frame Response;
+  std::string Err;
+  auto Start = std::chrono::steady_clock::now();
+  EXPECT_EQ(Client.readRaw(Response, Err, 200), -1);
+  auto Waited = std::chrono::steady_clock::now() - Start;
+  EXPECT_NE(Err.find("timed out"), std::string::npos) << Err;
+  EXPECT_LT(Waited, std::chrono::seconds(10));
+  ::close(Listen);
+  ::unlink(Path.c_str());
+}
+
+// A daemon that refuses a connection writes its typed error and closes
+// without reading the request, as admission control and the shutdown
+// drain do.  The client's send then fails, but the call still reports
+// the daemon's error rather than the broken pipe.
+TEST(ServeTest, RefusedConnectionReportsTypedError) {
+  std::string Path = socketPath("refuse");
+  int Listen = listenAt(Path);
+  ASSERT_GE(Listen, 0);
+
+  ServeClient Client;
+  ASSERT_TRUE(Client.connect(Path).ok());
+  int Fd = ::accept(Listen, nullptr, nullptr);
+  ASSERT_GE(Fd, 0);
+  std::string Err;
+  ASSERT_TRUE(writeFrame(Fd, FrameType::ErrorResponse,
+                         encodeError(ErrorCode::ServerOverloaded, "full"),
+                         Err))
+      << Err;
+  ::close(Fd);
+
+  Expected<ServeStats> Got = Client.stats();
+  ASSERT_FALSE(Got.ok());
+  EXPECT_EQ(Got.code(), ErrorCode::ServerOverloaded) << Got.message();
+  EXPECT_EQ(Got.message(), "full");
+  ::close(Listen);
+  ::unlink(Path.c_str());
 }

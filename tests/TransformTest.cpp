@@ -363,9 +363,10 @@ TEST(RaceCheckTest, CleanTransformReportsNoRaces) {
   Figure7 F;
   CsIndex Index = CsIndex::build(F.Tr);
   TransformResult R = transformTrace(F.Tr, Index);
-  std::vector<RaceReport> Races =
+  Expected<std::vector<RaceReport>> Races =
       checkRaces(R.Transformed, Index, R.Topology);
-  EXPECT_TRUE(Races.empty());
+  ASSERT_TRUE(Races.ok()) << Races.message();
+  EXPECT_TRUE(Races->empty());
 }
 
 TEST(RaceCheckTest, ExposedConflictIsReported) {
@@ -389,9 +390,10 @@ TEST(RaceCheckTest, ExposedConflictIsReported) {
         E.Lockset = 0;
   CsIndex Index = CsIndex::build(Tr);
   TopologyGraph EmptyTopo(Tr.numCriticalSections());
-  std::vector<RaceReport> Races = checkRaces(Tr, Index, EmptyTopo);
-  ASSERT_EQ(Races.size(), 1u);
-  EXPECT_EQ(Races[0].Addr, 9u);
+  Expected<std::vector<RaceReport>> Races = checkRaces(Tr, Index, EmptyTopo);
+  ASSERT_TRUE(Races.ok()) << Races.message();
+  ASSERT_EQ(Races->size(), 1u);
+  EXPECT_EQ((*Races)[0].Addr, 9u);
 }
 
 TEST(RaceCheckTest, SharedLockSuppressesRace) {
@@ -408,7 +410,7 @@ TEST(RaceCheckTest, SharedLockSuppressesRace) {
   Trace Tr = B.finish(); // Untransformed: plain {L} locksets.
   CsIndex Index = CsIndex::build(Tr);
   TopologyGraph EmptyTopo(Tr.numCriticalSections());
-  EXPECT_TRUE(checkRaces(Tr, Index, EmptyTopo).empty());
+  EXPECT_TRUE(checkRaces(Tr, Index, EmptyTopo).value().empty());
 }
 
 TEST(RaceCheckTest, UnlockedConflictingAccessesReported) {
@@ -421,9 +423,10 @@ TEST(RaceCheckTest, UnlockedConflictingAccessesReported) {
   Trace Tr = B.finish();
   CsIndex Index = CsIndex::build(Tr);
   TopologyGraph EmptyTopo(0);
-  std::vector<RaceReport> Races = checkRaces(Tr, Index, EmptyTopo);
-  ASSERT_EQ(Races.size(), 1u);
-  EXPECT_EQ(Races[0].CsA, InvalidId);
+  Expected<std::vector<RaceReport>> Races = checkRaces(Tr, Index, EmptyTopo);
+  ASSERT_TRUE(Races.ok()) << Races.message();
+  ASSERT_EQ(Races->size(), 1u);
+  EXPECT_EQ((*Races)[0].CsA, InvalidId);
 }
 
 TEST(RaceCheckTest, ReadOnlySharingIsNotARace) {
@@ -436,5 +439,5 @@ TEST(RaceCheckTest, ReadOnlySharingIsNotARace) {
   Trace Tr = B.finish();
   CsIndex Index = CsIndex::build(Tr);
   TopologyGraph EmptyTopo(0);
-  EXPECT_TRUE(checkRaces(Tr, Index, EmptyTopo).empty());
+  EXPECT_TRUE(checkRaces(Tr, Index, EmptyTopo).value().empty());
 }

@@ -4,8 +4,12 @@
 The performance catalog must mention:
 
   * every bench binary (``bench_<stem>`` for each ``bench/<stem>.cpp``),
-  * every ``BENCH_*.json`` name appearing anywhere in the repository
-    (bench sources, CI workflow, committed result files).
+  * every ``BENCH_*.json`` name that a bench source under ``bench/`` or
+    a CI workflow under ``.github/workflows/`` mentions, or that a
+    committed result file carries as its name.
+
+Planning documents such as ROADMAP.md and CHANGES.md are not scanned:
+they name benches that do not exist yet.
 
 Exits non-zero listing each omission, so the CI docs job fails when a
 new bench or tracked JSON lands without documentation.  Run from
@@ -16,31 +20,44 @@ anywhere:
 
 import os
 import re
+import subprocess
 import sys
 
 BENCH_JSON_RE = re.compile(r"\bBENCH_[A-Za-z0-9_]+\.json\b")
-SCAN_SUFFIXES = (".cpp", ".h", ".py", ".md", ".yml", ".yaml", ".json")
-SKIP_DIRS = {".git", "CMakeFiles", "Testing"}
+# (directory, suffixes) whose files are scanned for BENCH_*.json names.
+SCANNED_SOURCES = (
+    ("bench", (".cpp", ".h", ".py")),
+    (os.path.join(".github", "workflows"), (".yml", ".yaml")),
+)
+
+
+def committed_result_files(root: str):
+    """Names of tracked files that are themselves BENCH_*.json results."""
+    try:
+        out = subprocess.run(["git", "ls-files", "-z"], cwd=root,
+                             capture_output=True, check=True).stdout
+    except (OSError, subprocess.CalledProcessError):
+        print("warning: not a git checkout; committed result files not "
+              "scanned", file=sys.stderr)
+        return set()
+    return {
+        os.path.basename(path)
+        for path in out.decode("utf-8", errors="ignore").split("\0")
+        if BENCH_JSON_RE.fullmatch(os.path.basename(path))
+    }
 
 
 def collect_bench_json_names(root: str):
-    names = set()
-    for dirpath, dirnames, filenames in os.walk(root):
-        dirnames[:] = [d for d in dirnames if d not in SKIP_DIRS]
-        for name in filenames:
-            if BENCH_JSON_RE.match(name):
-                names.add(name)
-            if not name.endswith(SCAN_SUFFIXES):
-                continue
-            path = os.path.join(dirpath, name)
-            if os.path.abspath(path) == os.path.abspath(
-                    os.path.join(root, "docs", "PERFORMANCE.md")):
-                continue  # The catalog itself is not a source of truth.
-            try:
+    names = committed_result_files(root)
+    for subdir, suffixes in SCANNED_SOURCES:
+        base = os.path.join(root, subdir)
+        for dirpath, _, filenames in os.walk(base):
+            for name in filenames:
+                if not name.endswith(suffixes):
+                    continue
+                path = os.path.join(dirpath, name)
                 with open(path, encoding="utf-8", errors="ignore") as f:
                     names.update(BENCH_JSON_RE.findall(f.read()))
-            except OSError:
-                continue
     return names
 
 
@@ -76,7 +93,7 @@ def main() -> int:
     for json_name in sorted(collect_bench_json_names(root)):
         if not documented(json_name):
             errors.append(
-                f"tracked file '{json_name}' missing from "
+                f"result file '{json_name}' missing from "
                 "docs/PERFORMANCE.md")
 
     if errors:
