@@ -7,8 +7,9 @@
 ///
 /// \file
 /// Helpers shared by the table/figure regeneration binaries: paper
-/// reference values (for side-by-side printing), app lookup, and the
-/// common detect/transform/replay pipeline invocation.
+/// reference values (for side-by-side printing), app lookup, the
+/// common detect/transform/replay pipeline invocation, and the spin
+/// probe that measures how much parallelism the host really delivers.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -19,8 +20,13 @@
 #include "workloads/Apps.h"
 #include "workloads/WorkloadSpec.h"
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <string>
+#include <thread>
+#include <vector>
 
 namespace perfplay {
 namespace bench {
@@ -107,6 +113,60 @@ inline PipelineResult runAppPipeline(const AppModel &App, unsigned Threads,
   PipelineOptions Opts;
   Opts.Detect.PairMode = Mode;
   return runPerfPlay(std::move(Tr), Opts);
+}
+
+/// \p Iters dependent xorshift steps: spin work the compiler cannot
+/// fold or vectorize.
+inline uint64_t spinSteps(uint64_t Iters) {
+  uint64_t X = 0x9e3779b97f4a7c15ULL;
+  for (uint64_t I = 0; I != Iters; ++I) {
+    X ^= X << 13;
+    X ^= X >> 7;
+    X ^= X << 17;
+  }
+  return X;
+}
+
+/// How many threads this host actually runs at once, measured rather
+/// than trusted: std::thread::hardware_concurrency() counts the CPUs
+/// the OS exposes, not what a shared or throttled VM delivers.  The
+/// probe calibrates a spin of about 20 ms on one thread, then
+/// times N threads spinning that amount each at once, and returns
+/// N x (one-thread time / N-thread time), the median of three rounds
+/// (a quiet moment on a shared host must not pass for its capacity).
+/// N is hardware_concurrency(), at most 64.  A parallel-speedup gate over
+/// W workers is meaningful only when the result is at least W.  Costs
+/// about 3 x (1 + N / result) x 20 ms of wall time.
+inline double effectiveParallelism() {
+  using Clock = std::chrono::steady_clock;
+  const double SliceMs = 20.0;
+  const unsigned N =
+      std::clamp(std::thread::hardware_concurrency(), 1u, 64u);
+  std::atomic<uint64_t> Sink{0};
+  auto timeSpin = [&Sink](uint64_t Iters) {
+    auto T0 = Clock::now();
+    Sink.fetch_xor(spinSteps(Iters), std::memory_order_relaxed);
+    return std::chrono::duration<double, std::milli>(Clock::now() - T0)
+        .count();
+  };
+  uint64_t Iters = 1 << 16;
+  while (timeSpin(Iters) < SliceMs)
+    Iters *= 2;
+  double Rounds[3];
+  for (double &Round : Rounds) {
+    const double One = timeSpin(Iters);
+    auto T0 = Clock::now();
+    std::vector<std::thread> Spinners;
+    for (unsigned I = 0; I != N; ++I)
+      Spinners.emplace_back([&] { timeSpin(Iters); });
+    for (std::thread &T : Spinners)
+      T.join();
+    const double All =
+        std::chrono::duration<double, std::milli>(Clock::now() - T0).count();
+    Round = N * One / All;
+  }
+  std::sort(std::begin(Rounds), std::end(Rounds));
+  return std::min(Rounds[1], static_cast<double>(N));
 }
 
 } // namespace bench

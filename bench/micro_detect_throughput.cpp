@@ -348,6 +348,12 @@ int main(int Argc, char **Argv) {
     std::printf("  %-14s %8.3f ms  %12.0f pairs/s  (%.2fx)\n", Cfg.Name,
                 Cfg.Seconds * 1e3, Cfg.PairsPerSec,
                 Cfg.PairsPerSec / Configs[0].PairsPerSec);
+  // The parallel configs' speedup means something only next to the
+  // parallelism the host delivered.
+  const double EffectiveParallelism = bench::effectiveParallelism();
+  std::printf("  effective parallelism %.2f (parallel configs use %u "
+              "detect threads)\n",
+              EffectiveParallelism, DetectThreads);
 
   // Wide-set intersection corpus (sorted-vector vs chunked-bitmap).
   std::vector<WideResult> Wide;
@@ -446,13 +452,14 @@ int main(int Argc, char **Argv) {
                "  \"pairs\": %llu,\n"
                "  \"distinct_section_keys\": %llu,\n"
                "  \"detect_threads\": %u,\n"
+               "  \"effective_parallelism\": %.2f,\n"
                "  \"repeat\": %u,\n"
                "  \"configs\": [\n",
                AppName.c_str(), Threads, Scale, Index.size(),
                static_cast<unsigned long long>(Base.total()),
                static_cast<unsigned long long>(
                    Configs[3].Stats.NumSectionKeys),
-               DetectThreads, Repeat);
+               DetectThreads, EffectiveParallelism, Repeat);
   for (size_t I = 0; I != 4; ++I) {
     const ConfigResult &Cfg = Configs[I];
     std::fprintf(F,

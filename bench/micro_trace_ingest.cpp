@@ -1,41 +1,35 @@
 //===- bench/micro_trace_ingest.cpp - trace ingestion throughput ------------===//
 //
-// Measures binary-trace ingestion under the two loader paths:
+// Measures binary-trace ingestion.  loadTrace maps a regular file
+// and parses straight out of the page cache (support/MappedFile.h);
+// this bench keeps the measured reason for that choice:
 //
-//   stream — the legacy copying path: stdio-read the whole file into a
-//            byte vector, then parse out of the copy,
-//   mmap   — the zero-copy path: map the file and parse straight out
-//            of the page cache (support/MappedFile.h).
+//   stream — stdio-read the whole file into a byte vector (what a
+//            copying loader pays before it can parse),
+//   mmap   — map the file and fault every page in.
 //
-// Two phases are timed per path.  "ingest" is the cost of making the
-// file's bytes addressable (the read-and-copy that mmap eliminates —
-// this is where the >= 2x zero-copy win lives, and it grows with the
-// file); "end-to-end" is the full loadTrace including the parse, whose
-// event decoding dominates and is common to both paths.  The stream
-// path additionally holds a transient whole-file copy, so its peak
-// memory is file-size bytes higher — reported as peak_extra_bytes.
-//
-// Both paths must produce byte-identical traces (asserted).  Emits
+// "ingest" is the cost of making the file's bytes addressable, the
+// read-and-copy that mapping eliminates; it is gated at >= 2x and
+// grows with the file.  The stream copy also holds a transient
+// whole-file buffer, reported as peak_extra_bytes.  "end-to-end" is
+// the full loadTrace of the mapped file, parse included.  Emits
 // BENCH_traceio.json for CI tracking alongside a human-readable table.
 //
 // A second, name-heavy corpus (thousands of locks and call sites with
 // long symbol names — the shape of the paper's Table 1/Table 2
-// workloads) measures the string-pool tentpole:
-//
-//   copy elimination — parsing the mapped file with borrowed name
-//       storage (NameStorage::Borrowed: string_views into the mapping)
-//       vs. owned interning; the borrowed parse must report ZERO owned
-//       name bytes (StringPool::stats), which this driver asserts,
-//   dedup compare    — name equality as pooled-id integer compares vs.
-//       materialized std::string compares (the detector/recorder dedup
-//       paths run the former since the pool migration).
+// workloads) times the owned-name parse and the string pool's payoff:
+// name equality as pooled-id integer compares vs. materialized
+// std::string compares (the detector/recorder dedup paths run the
+// former).
 //
 // A third section measures the chunked v3 format's parallel full
 // load: the same synthetic corpus re-encoded as v3 and parsed with 1
 // worker vs. 4 (parseTraceV3 decodes chunks concurrently into
 // disjoint spans).  parallel_parse_speedup is exit-gated at >= 3.0,
-// but only on machines with >= 4 hardware threads — on smaller boxes
-// the number is reported and the gate prints a skip note.
+// but only on a host with more than 4 hardware threads whose measured
+// effective_parallelism (the spin probe in BenchUtil.h) is at least 4
+// — elsewhere, 4-vCPU hosts included, the number is reported and the
+// gate prints a skip note.
 //
 // With --out-of-core a fourth section runs FIRST (getrusage peak RSS
 // is a process-lifetime high-water mark, so it must precede anything
@@ -52,6 +46,8 @@
 //                            [--file SCRATCH] [--names N] [--out-of-core]
 //
 //===----------------------------------------------------------------------===//
+
+#include "BenchUtil.h"
 
 #include "detect/CriticalSection.h"
 #include "detect/Detector.h"
@@ -151,8 +147,8 @@ double now() {
       .count();
 }
 
-/// The stream path's bytes-ready phase: stdio-read the file into an
-/// owned vector, mirroring loadTrace(TraceLoadMode::Stream).
+/// The copying bytes-ready phase: stdio-read the file into an owned
+/// vector.
 size_t streamIngest(const std::string &Path) {
   FILE *F = std::fopen(Path.c_str(), "rb");
   if (!F)
@@ -475,8 +471,9 @@ int main(int Argc, char **Argv) {
   std::printf("scratch file: %s (%zu bytes, %zu events)\n", Scratch.c_str(),
               FileBytes, NumEvents);
 
-  PhaseTimes Stream, Mapped;
-  Trace StreamTrace, MmapTrace;
+  double StreamIngestSeconds = 0.0;
+  PhaseTimes Mapped;
+  Trace MmapTrace;
   for (unsigned I = 0; I != Repeat; ++I) {
     double T0 = now();
     if (streamIngest(Scratch) != FileBytes) {
@@ -484,11 +481,12 @@ int main(int Argc, char **Argv) {
       return 1;
     }
     double T1 = now();
-    Stream.IngestSeconds += T1 - T0;
+    StreamIngestSeconds += T1 - T0;
 
     T0 = now();
     MappedFile File;
-    if (!File.open(Scratch, Err) || File.size() != FileBytes) {
+    if (!File.open(Scratch, Err) || File.size() != FileBytes ||
+        !File.isMapped()) {
       std::fprintf(stderr, "mmap ingest failed: %s\n", Err.c_str());
       return 1;
     }
@@ -506,59 +504,38 @@ int main(int Argc, char **Argv) {
     File.close();
 
     T0 = now();
-    if (!loadTrace(Scratch, StreamTrace, Err, TraceLoadMode::Stream)) {
-      std::fprintf(stderr, "stream load failed: %s\n", Err.c_str());
-      return 1;
-    }
-    T1 = now();
-    Stream.TotalSeconds += T1 - T0;
-
-    T0 = now();
-    if (!loadTrace(Scratch, MmapTrace, Err, TraceLoadMode::Mmap)) {
-      std::fprintf(stderr, "mmap load failed: %s\n", Err.c_str());
+    if (!loadTrace(Scratch, MmapTrace, Err)) {
+      std::fprintf(stderr, "load failed: %s\n", Err.c_str());
       return 1;
     }
     T1 = now();
     Mapped.TotalSeconds += T1 - T0;
   }
-  Stream.IngestSeconds /= Repeat;
-  Stream.TotalSeconds /= Repeat;
+  StreamIngestSeconds /= Repeat;
   Mapped.IngestSeconds /= Repeat;
   Mapped.TotalSeconds /= Repeat;
 
-  // Both loaders must parse the same trace; speed with different
-  // results would be meaningless.
-  if (writeTraceBinary(StreamTrace) != writeTraceBinary(MmapTrace)) {
-    std::fprintf(stderr, "FATAL: mmap and stream loads diverged\n");
-    return 1;
-  }
-
   const double Mb = static_cast<double>(FileBytes) / 1e6;
   double IngestSpeedup = Mapped.IngestSeconds > 0.0
-                             ? Stream.IngestSeconds / Mapped.IngestSeconds
+                             ? StreamIngestSeconds / Mapped.IngestSeconds
                              : 0.0;
-  double TotalSpeedup = Mapped.TotalSeconds > 0.0
-                            ? Stream.TotalSeconds / Mapped.TotalSeconds
-                            : 0.0;
-  std::printf("trace ingest: %.1f MB binary, %u repeat(s), mmap %s\n", Mb,
-              Repeat, MappedFile::supportsMapping() ? "native" : "fallback");
-  std::printf("  %-8s ingest %9.3f ms (%8.0f MB/s)   end-to-end %9.3f ms\n",
-              "stream", Stream.IngestSeconds * 1e3,
-              Mb / std::max(Stream.IngestSeconds, 1e-9),
-              Stream.TotalSeconds * 1e3);
+  std::printf("trace ingest: %.1f MB binary, %u repeat(s)\n", Mb, Repeat);
+  std::printf("  %-8s ingest %9.3f ms (%8.0f MB/s)\n", "stream",
+              StreamIngestSeconds * 1e3,
+              Mb / std::max(StreamIngestSeconds, 1e-9));
   std::printf("  %-8s ingest %9.3f ms (%8.0f MB/s)   end-to-end %9.3f ms\n",
               "mmap", Mapped.IngestSeconds * 1e3,
               Mb / std::max(Mapped.IngestSeconds, 1e-9),
               Mapped.TotalSeconds * 1e3);
-  std::printf("  zero-copy bytes-ready speedup: %.1fx, end-to-end: %.2fx, "
+  std::printf("  zero-copy bytes-ready speedup: %.1fx, "
               "peak memory saved: %.1f MB\n",
-              IngestSpeedup, TotalSpeedup, Mb);
+              IngestSpeedup, Mb);
 
   //===--------------------------------------------------------------------===//
   // Chunked v3 parallel full load: the same corpus re-encoded as v3,
   // parsed fully serially vs. with 4 chunk-decode workers.  Best-of-
-  // repeat timings gate the speedup (>= 3.0) — but only on machines
-  // that actually have 4 hardware threads to decode on.
+  // repeat timings gate the speedup (>= 3.0) — but only on hosts with
+  // threads to spare whose measured parallelism runs 4 decoders at once.
   //===--------------------------------------------------------------------===//
 
   const unsigned ParallelWorkers = 4;
@@ -607,7 +584,14 @@ int main(int Argc, char **Argv) {
   double ParallelParseSpeedup =
       ParallelParse > 0.0 ? SerialParse / ParallelParse : 0.0;
   const unsigned HardwareThreads = std::thread::hardware_concurrency();
-  const bool ParallelGateEnforced = HardwareThreads >= ParallelWorkers;
+  const double EffectiveParallelism = bench::effectiveParallelism();
+  // The probe is capped at the hardware thread count, so on a host
+  // with exactly ParallelWorkers threads whether it reads the cap is
+  // noise, and the gate would switch on and off from run to run.  It is
+  // enforced only where a thread is left over for the caller and the
+  // OS, and the probe confirms ParallelWorkers threads run at once.
+  const bool ParallelGateEnforced = HardwareThreads > ParallelWorkers &&
+                                    EffectiveParallelism >= ParallelWorkers;
   std::printf("v3 parallel load: %zu byte v3 file (%.2fx of binary)\n",
               V3Bytes.size(),
               static_cast<double>(V3Bytes.size()) /
@@ -619,15 +603,17 @@ int main(int Argc, char **Argv) {
   if (ParallelGateEnforced)
     std::printf("   (gate >= 3.0)\n");
   else
-    std::printf("   (gate SKIPPED: %u hardware thread(s) < %u workers)\n",
-                HardwareThreads, ParallelWorkers);
+    std::printf("   (gate SKIPPED: needs more than %u hardware threads "
+                "and effective parallelism >= %u; have %u and %.2f)\n",
+                ParallelWorkers, ParallelWorkers, HardwareThreads,
+                EffectiveParallelism);
   std::remove(ScratchV3.c_str());
   const size_t V3FileBytes = V3Bytes.size();
   V3Bytes.clear();
   V3Bytes.shrink_to_fit();
 
   //===--------------------------------------------------------------------===//
-  // Name-heavy corpus: borrowed vs owned name storage + dedup compares.
+  // Name-heavy corpus: owned-name parse + dedup compares.
   //===--------------------------------------------------------------------===//
 
   std::string NamePath = Scratch + ".names";
@@ -645,53 +631,33 @@ int main(int Argc, char **Argv) {
     return 1;
   }
 
-  double OwnedSeconds = 0.0, BorrowedSeconds = 0.0;
-  size_t NameBytes = 0, BorrowedOwnedNameBytes = 0;
-  Trace OwnedTrace, BorrowedTrace;
+  double OwnedSeconds = 0.0;
+  Trace NameTrace;
   for (unsigned I = 0; I != Repeat; ++I) {
     double T0 = now();
-    if (!parseTraceBinary(NameFile.data(), NameFile.size(), OwnedTrace, Err,
-                          NameStorage::Owned)) {
-      std::fprintf(stderr, "owned name parse failed: %s\n", Err.c_str());
+    if (!parseTraceBinary(NameFile.data(), NameFile.size(), NameTrace,
+                          Err)) {
+      std::fprintf(stderr, "name parse failed: %s\n", Err.c_str());
       return 1;
     }
-    double T1 = now();
-    OwnedSeconds += T1 - T0;
-
-    T0 = now();
-    if (!parseTraceBinary(NameFile.data(), NameFile.size(), BorrowedTrace,
-                          Err, NameStorage::Borrowed)) {
-      std::fprintf(stderr, "borrowed name parse failed: %s\n", Err.c_str());
-      return 1;
-    }
-    T1 = now();
-    BorrowedSeconds += T1 - T0;
+    OwnedSeconds += now() - T0;
   }
   OwnedSeconds /= Repeat;
-  BorrowedSeconds /= Repeat;
-  {
-    StringPool::Stats OwnedStats = OwnedTrace.Names.stats();
-    StringPool::Stats BorrowedStats = BorrowedTrace.Names.stats();
-    NameBytes = OwnedStats.OwnedBytes;
-    BorrowedOwnedNameBytes = BorrowedStats.OwnedBytes;
-  }
-  // Both storage modes must resolve identical bytes when re-serialized.
-  if (writeTraceBinary(OwnedTrace) != writeTraceBinary(BorrowedTrace)) {
-    std::fprintf(stderr, "FATAL: owned and borrowed name parses diverged\n");
-    return 1;
-  }
+  size_t NameBytes = 0;
+  for (StringId Id = 0; Id != NameTrace.Names.size(); ++Id)
+    NameBytes += NameTrace.Names.str(Id).size();
 
   // Dedup-compare microbenchmark: the detector/recorder dedup paths
   // used to compare names as strings; with the pool they compare ids.
   // Fixed-width names with a long shared prefix force the string
   // compare to walk ~40 bytes before differing — exactly the symbol-
   // table shape the pool was built for.
-  const size_t NumLocks = BorrowedTrace.Locks.size();
+  const size_t NumLocks = NameTrace.Locks.size();
   std::vector<std::string> Materialized;
   Materialized.reserve(NumLocks);
   for (size_t I = 0; I != NumLocks; ++I)
     Materialized.push_back(
-        std::string(BorrowedTrace.lockName(static_cast<LockId>(I))));
+        std::string(NameTrace.lockName(static_cast<LockId>(I))));
   const size_t CompareIters = 4u * 1000u * 1000u;
   uint64_t StringMatches = 0, IdMatches = 0;
   uint64_t X = 0x9e3779b97f4a7c15ULL;
@@ -713,8 +679,7 @@ int main(int Argc, char **Argv) {
   T0 = now();
   for (size_t I = 0; I != CompareIters; ++I) {
     auto [A, B] = nextPair();
-    IdMatches +=
-        BorrowedTrace.Locks[A].Name == BorrowedTrace.Locks[B].Name;
+    IdMatches += NameTrace.Locks[A].Name == NameTrace.Locks[B].Name;
   }
   double IdCompareSeconds = now() - T0;
   if (StringMatches != IdMatches) {
@@ -722,18 +687,12 @@ int main(int Argc, char **Argv) {
     return 1;
   }
 
-  double CopyElimSpeedup =
-      BorrowedSeconds > 0.0 ? OwnedSeconds / BorrowedSeconds : 0.0;
   double CompareSpeedup =
       IdCompareSeconds > 0.0 ? StringCompareSeconds / IdCompareSeconds : 0.0;
   std::printf("name-heavy corpus: %zu locks + %zu sites, %zu name bytes, "
               "%zu byte file\n",
-              NumLocks, BorrowedTrace.Sites.size(), NameBytes,
-              NameFile.size());
-  std::printf("  parse owned %9.3f ms   borrowed %9.3f ms   "
-              "copy-elimination %.2fx   borrowed owned-name bytes: %zu\n",
-              OwnedSeconds * 1e3, BorrowedSeconds * 1e3, CopyElimSpeedup,
-              BorrowedOwnedNameBytes);
+              NumLocks, NameTrace.Sites.size(), NameBytes, NameFile.size());
+  std::printf("  parse %9.3f ms\n", OwnedSeconds * 1e3);
   std::printf("  name equality: string %9.3f ms   pooled-id %9.3f ms   "
               "(%.1fx, %zuM compares)\n",
               StringCompareSeconds * 1e3, IdCompareSeconds * 1e3,
@@ -750,20 +709,18 @@ int main(int Argc, char **Argv) {
                "  \"file_bytes\": %zu,\n"
                "  \"events\": %zu,\n"
                "  \"repeat\": %u,\n"
-               "  \"mmap_native\": %s,\n"
+               "  \"effective_parallelism\": %.2f,\n"
                "  \"configs\": [\n",
-               FileBytes, NumEvents, Repeat,
-               MappedFile::supportsMapping() ? "true" : "false");
+               FileBytes, NumEvents, Repeat, EffectiveParallelism);
   std::fprintf(F,
                "    {\"name\": \"stream\", \"ingest_seconds\": %.6f, "
-               "\"end_to_end_seconds\": %.6f, \"peak_extra_bytes\": %zu},\n",
-               Stream.IngestSeconds, Stream.TotalSeconds, FileBytes);
+               "\"peak_extra_bytes\": %zu},\n",
+               StreamIngestSeconds, FileBytes);
   std::fprintf(F,
                "    {\"name\": \"mmap\", \"ingest_seconds\": %.6f, "
                "\"end_to_end_seconds\": %.6f, \"peak_extra_bytes\": 0, "
-               "\"ingest_speedup\": %.3f, \"end_to_end_speedup\": %.3f}\n",
-               Mapped.IngestSeconds, Mapped.TotalSeconds, IngestSpeedup,
-               TotalSpeedup);
+               "\"ingest_speedup\": %.3f}\n",
+               Mapped.IngestSeconds, Mapped.TotalSeconds, IngestSpeedup);
   std::fprintf(F, "  ],\n");
   std::fprintf(F,
                "  \"v3_parallel\": {\n"
@@ -802,17 +759,13 @@ int main(int Argc, char **Argv) {
                "    \"name_bytes\": %zu,\n"
                "    \"file_bytes\": %zu,\n"
                "    \"owned_parse_seconds\": %.6f,\n"
-               "    \"borrowed_parse_seconds\": %.6f,\n"
-               "    \"copy_elimination_speedup\": %.3f,\n"
-               "    \"borrowed_owned_name_bytes\": %zu,\n"
                "    \"string_compare_seconds\": %.6f,\n"
                "    \"id_compare_seconds\": %.6f,\n"
                "    \"dedup_compare_speedup\": %.3f\n"
                "  }\n}\n",
-               NumLocks, BorrowedTrace.Sites.size(), NameBytes,
-               NameFile.size(), OwnedSeconds, BorrowedSeconds,
-               CopyElimSpeedup, BorrowedOwnedNameBytes,
-               StringCompareSeconds, IdCompareSeconds, CompareSpeedup);
+               NumLocks, NameTrace.Sites.size(), NameBytes, NameFile.size(),
+               OwnedSeconds, StringCompareSeconds, IdCompareSeconds,
+               CompareSpeedup);
   std::fclose(F);
   std::printf("wrote %s\n", Out.c_str());
 
@@ -820,17 +773,10 @@ int main(int Argc, char **Argv) {
   std::remove(Scratch.c_str());
   std::remove(NamePath.c_str());
   // Gates: the mmap bytes-ready win and the v3 parallel-load win must
-  // hold, a borrowed-storage parse must copy zero name bytes onto the
-  // heap, and the out-of-core run (when requested) must stay under a
+  // hold, and the out-of-core run (when requested) must stay under a
   // quarter of the file's size with whole-trace-identical verdicts.
   int Status = 0;
-  if (BorrowedOwnedNameBytes != 0) {
-    std::fprintf(stderr,
-                 "FAIL: borrowed-mode parse copied %zu name bytes\n",
-                 BorrowedOwnedNameBytes);
-    Status = 1;
-  }
-  if (IngestSpeedup < 2.0 && MappedFile::supportsMapping()) {
+  if (IngestSpeedup < 2.0) {
     std::fprintf(stderr, "FAIL: mmap ingest speedup %.2fx < 2.0x\n",
                  IngestSpeedup);
     Status = 1;
@@ -838,8 +784,10 @@ int main(int Argc, char **Argv) {
   if (ParallelGateEnforced && ParallelParseSpeedup < 3.0) {
     std::fprintf(stderr,
                  "FAIL: v3 parallel parse speedup %.2fx < 3.0x "
-                 "(%u workers, %u hardware threads)\n",
-                 ParallelParseSpeedup, ParallelWorkers, HardwareThreads);
+                 "(%u workers, %u hardware threads, effective "
+                 "parallelism %.2f)\n",
+                 ParallelParseSpeedup, ParallelWorkers, HardwareThreads,
+                 EffectiveParallelism);
     Status = 1;
   }
   if (OutOfCore) {

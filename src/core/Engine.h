@@ -47,15 +47,11 @@ public:
   /// progress callback.  No work happens until a stage is called.
   AnalysisSession openSession(Trace Tr) const;
 
-  /// Opens a session over the trace stored at \p Path (format
-  /// auto-detected).  Under TraceLoadMode::Auto/Mmap the binary parse
-  /// borrows the file mapping directly (zero-copy), and the returned
-  /// session keeps that mapping alive for its lifetime
-  /// (AnalysisSession::setBackingMapping).  Load failures come back as
-  /// ErrorCode::TraceIOFailed.
-  Expected<AnalysisSession>
-  openSessionFromFile(const std::string &Path,
-                      TraceLoadMode Mode = TraceLoadMode::Auto) const;
+  /// Opens a session over the trace stored at \p Path, loaded by
+  /// readTraceFile (format sniffed; the session's trace owns all of
+  /// its storage, so the file may change or vanish afterwards).  Load
+  /// failures come back as ErrorCode::TraceIOFailed.
+  Expected<AnalysisSession> openSessionFromFile(const std::string &Path) const;
 
   /// Runs the full pipeline over an already-parsed \p Tr — the session
   /// reuse hook for callers that hold traces beyond one analysis (the
@@ -120,19 +116,16 @@ public:
                         unsigned NumThreads = 0) const;
 
   /// Fully streaming batch over trace *files*: each worker loads its
-  /// trace on demand (openSessionFromFile semantics — zero-copy mmap
-  /// under Auto/Mmap, mapping pinned for the session's lifetime) and
-  /// results stream through \p Consumer, so peak memory holds one
-  /// trace + one result per worker no matter how large the batch is.
+  /// trace on demand (openSessionFromFile semantics) and results
+  /// stream through \p Consumer, so peak memory holds one trace + one
+  /// result per worker no matter how large the batch is.
   /// A file that fails to load or parse becomes that index's
   /// ErrorCode::TraceIOFailed result; the rest of the batch is
   /// unaffected.
   AggregatedReport
   analyzeBatchFilesStreaming(const std::vector<std::string> &Paths,
                              const BatchResultConsumer &Consumer,
-                             unsigned NumThreads = 0,
-                             TraceLoadMode Mode = TraceLoadMode::Auto)
-      const;
+                             unsigned NumThreads = 0) const;
 
   /// Detection-thread budget for one of \p BatchWorkers concurrent
   /// sessions when the engine's options request \p Requested

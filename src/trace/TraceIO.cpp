@@ -603,8 +603,7 @@ public:
     return true;
   }
   /// Reads a length-prefixed string as a view into the borrowed
-  /// buffer.  The caller decides whether to copy it (owned interning)
-  /// or keep the view (borrowed interning into a pinned mapping).
+  /// buffer; the caller interns (copies) it.
   bool str(std::string_view &S) {
     uint32_t Len;
     if (!u32(Len) || Len > remaining())
@@ -722,20 +721,12 @@ std::vector<uint8_t> perfplay::writeTraceBinary(const Trace &Tr) {
 }
 
 bool perfplay::parseTraceBinary(const uint8_t *Data, size_t Size,
-                                Trace &Out, std::string &Err,
-                                NameStorage Names) {
+                                Trace &Out, std::string &Err) {
   Out = Trace();
   ByteReader R(Data, Size);
   auto fail = [&](const char *Msg) {
     Err = Msg;
     return false;
-  };
-  // One funnel for every name read: owned interning copies the view
-  // into the pool's arena; borrowed interning keeps it pointing into
-  // \p Data (the mmap the caller pins), making the parse copy-free.
-  auto internName = [&](std::string_view S) {
-    return Names == NameStorage::Borrowed ? Out.Names.internBorrowed(S)
-                                          : Out.Names.intern(S);
   };
 
   for (char C : BinaryMagic) {
@@ -764,7 +755,7 @@ bool perfplay::parseTraceBinary(const uint8_t *Data, size_t Size,
     if (!R.u8(Spin) || !R.str(Name))
       return fail("truncated lock entry");
     L.IsSpin = Spin != 0;
-    L.Name = internName(Name);
+    L.Name = Out.Names.intern(Name);
     Out.Locks.push_back(L);
   }
 
@@ -779,8 +770,8 @@ bool perfplay::parseTraceBinary(const uint8_t *Data, size_t Size,
     if (!R.u32(S.BeginLine) || !R.u32(S.EndLine) || !R.str(File) ||
         !R.str(Function))
       return fail("truncated site entry");
-    S.File = internName(File);
-    S.Function = internName(Function);
+    S.File = Out.Names.intern(File);
+    S.Function = Out.Names.intern(Function);
     Out.Sites.push_back(S);
   }
 
@@ -951,11 +942,21 @@ static bool hasBinaryMagic(const uint8_t *Data, size_t Size) {
 }
 
 bool perfplay::parseTraceBuffer(const uint8_t *Data, size_t Size,
-                                Trace &Out, std::string &Err) {
-  if (hasBinaryMagic(Data, Size))
+                                Trace &Out, std::string &Err,
+                                TraceFormat *Format) {
+  auto sniffed = [&](TraceFormat F) {
+    if (Format)
+      *Format = F;
+  };
+  if (hasBinaryMagic(Data, Size)) {
+    sniffed(TraceFormat::Binary);
     return parseTraceBinary(Data, Size, Out, Err);
-  if (hasTraceV3Magic(Data, Size))
+  }
+  if (hasTraceV3Magic(Data, Size)) {
+    sniffed(TraceFormat::V3);
     return parseTraceV3(Data, Size, Out, Err);
+  }
+  sniffed(TraceFormat::Text);
   // The line parser tokenizes out of a string; one copy, text only.
   std::string Text;
   if (Size != 0)
@@ -998,162 +999,20 @@ bool perfplay::saveTrace(const Trace &Tr, const std::string &Path,
   return true;
 }
 
-/// The legacy copying loader: stream the file through stdio into the
-/// container its parser wants.
-static bool loadTraceStream(const std::string &Path, Trace &Out,
-                            std::string &Err,
-                            TraceLoadInfo *Info = nullptr) {
-  FILE *F = std::fopen(Path.c_str(), "rb");
-  if (!F) {
-    Err = "cannot open '" + Path + "' for reading";
-    return false;
-  }
-  // Format sniffing: neither binary magic is valid text-format prose,
-  // so the first eight bytes decide unambiguously.  Sniffing before
-  // slurping lets each path read straight into the container its
-  // parser wants — no whole-file copy.
-  uint8_t Head[sizeof(BinaryMagic)];
-  size_t HeadLen = std::fread(Head, 1, sizeof(Head), F);
-  bool Binary = HeadLen == sizeof(BinaryMagic) &&
-                std::memcmp(Head, BinaryMagic, sizeof(BinaryMagic)) == 0;
-  bool V3 = hasTraceV3Magic(Head, HeadLen);
-
-  char Buf[1 << 16];
-  if (Binary || V3) {
-    std::vector<uint8_t> Bytes(Head, Head + HeadLen);
-    for (;;) {
-      size_t N = std::fread(Buf, 1, sizeof(Buf), F);
-      Bytes.insert(Bytes.end(), Buf, Buf + N);
-      if (N < sizeof(Buf))
-        break;
-    }
-    std::fclose(F);
-    if (Info)
-      Info->Format = V3 ? TraceFormat::V3 : TraceFormat::Binary;
-    if (V3)
-      return parseTraceV3(Bytes.data(), Bytes.size(), Out, Err);
-    return parseTraceBinary(Bytes, Out, Err);
-  }
-  std::string Text(reinterpret_cast<const char *>(Head), HeadLen);
-  for (;;) {
-    size_t N = std::fread(Buf, 1, sizeof(Buf), F);
-    Text.append(Buf, N);
-    if (N < sizeof(Buf))
-      break;
-  }
-  std::fclose(F);
-  if (Info)
-    Info->Format = TraceFormat::Text;
-  return parseTraceText(Text, Out, Err);
-}
-
-bool perfplay::loadTraceKeepMapping(const std::string &Path, Trace &Out,
-                                    std::string &Err, MappedFile &File,
-                                    TraceLoadMode Mode, NameStorage Names,
-                                    TraceLoadInfo *Info) {
-  File.close();
-  if (Info)
-    *Info = TraceLoadInfo();
-  auto downgrade = [&](std::string Reason) {
-    if (Info)
-      Info->MmapDowngradeReason = std::move(Reason);
-    return loadTraceStream(Path, Out, Err, Info);
-  };
-  if (Mode == TraceLoadMode::Stream)
-    // Explicitly requested; not a downgrade.
-    return loadTraceStream(Path, Out, Err, Info);
-  // Auto streams anything unmappable — pipes and FIFOs must not have
-  // their read end consumed by a doomed map attempt, and platforms
-  // without mmap gain nothing from the fallback's extra copy.
-  if (Mode == TraceLoadMode::Auto && !MappedFile::isMappablePath(Path)) {
-    switch (MappedFile::classifyPath(Path)) {
-    case MappedFile::PathKind::Other:
-      return downgrade("not a regular file (pipe, FIFO, or device)");
-    case MappedFile::PathKind::Missing:
-      return downgrade("file cannot be stat'ed");
-    case MappedFile::PathKind::Regular:
-      return downgrade("platform build has no mmap support");
-    }
-  }
-  // Explicit Mmap on an existing non-regular source is rejected up
-  // front: opening a pipe can block and consumes its read end, and a
-  // misleading empty-input parse error would follow.  Missing files
-  // fall through so open() reports them.
-  if (Mode == TraceLoadMode::Mmap && MappedFile::supportsMapping() &&
-      MappedFile::classifyPath(Path) == MappedFile::PathKind::Other) {
-    Err = "cannot mmap '" + Path +
-          "': not a regular file (use the stream loader)";
-    return false;
-  }
-  // Map the file and parse in place — binary traces come straight out
-  // of the page cache with no intermediate byte-vector copy.  The
-  // Trace owns its storage; the caller decides whether the mapping
-  // outlives this call.
-  bool Opened = File.open(Path, Err);
-  if (!Opened || File.size() == 0) {
-    // Some network/FUSE mounts refuse mmap on regular files; Auto
-    // keeps those working by dropping to the stdio loader.  Explicit
-    // Mmap stays strict.
-    std::string OpenErr = Err;
-    File.close();
-    if (Mode == TraceLoadMode::Auto)
-      return downgrade(Opened ? "file is empty (nothing to map)"
-                              : "mmap open failed: " + OpenErr);
-    if (!Opened)
-      return false;
-  }
-  const bool Binary = hasBinaryMagic(File.data(), File.size());
-  const bool V3 = hasTraceV3Magic(File.data(), File.size());
-  if (Binary || V3) {
-    // Borrowed names are only safe when the bytes live past this call:
-    // a real mmap the caller pins.  The read-fallback buffer inside
-    // File would also survive, but callers (Engine::openSessionFromFile)
-    // deliberately drop non-mmap views to avoid keeping a second full
-    // copy of the file alive — so borrow only from a genuine mapping.
-    NameStorage Effective = Names == NameStorage::Borrowed && File.isMapped()
-                                ? NameStorage::Borrowed
-                                : NameStorage::Owned;
-    if (Info) {
-      Info->Format = V3 ? TraceFormat::V3 : TraceFormat::Binary;
-      Info->UsedMmap = File.isMapped();
-      Info->BorrowedNames = Effective == NameStorage::Borrowed;
-      if (!File.isMapped())
-        Info->MmapDowngradeReason =
-            "platform build has no mmap support (read fallback)";
-    }
-    if (V3) {
-      V3ParseOptions Opts;
-      Opts.Names = Effective;
-      return parseTraceV3(File.data(), File.size(), Out, Err, Opts);
-    }
-    return parseTraceBinary(File.data(), File.size(), Out, Err, Effective);
-  }
-  // Text parses out of its own string copy, so there is nothing the
-  // caller could ever borrow from the mapping — release it now rather
-  // than letting a session pin a whole text file for no benefit.
-  std::string Text;
-  if (File.size() != 0)
-    Text.assign(reinterpret_cast<const char *>(File.data()), File.size());
-  const bool WasMapped = File.isMapped();
-  File.close();
-  if (Info) {
-    Info->Format = TraceFormat::Text;
-    Info->UsedMmap = WasMapped;
-  }
-  return parseTraceText(Text, Out, Err);
-}
-
 bool perfplay::loadTrace(const std::string &Path, Trace &Out,
-                         std::string &Err, TraceLoadMode Mode) {
+                         std::string &Err, TraceFormat *Format) {
   MappedFile File;
-  return loadTraceKeepMapping(Path, Out, Err, File, Mode);
+  if (!File.open(Path, Err))
+    return false;
+  // Owned names: nothing in the parsed Trace points into File, which
+  // dies at the end of this call.
+  return parseTraceBuffer(File.data(), File.size(), Out, Err, Format);
 }
 
-Expected<Trace> perfplay::readTraceFile(const std::string &Path,
-                                        TraceLoadMode Mode) {
+Expected<Trace> perfplay::readTraceFile(const std::string &Path) {
   Trace Out;
   std::string Err;
-  if (!loadTrace(Path, Out, Err, Mode))
+  if (!loadTrace(Path, Out, Err))
     return PipelineError(ErrorCode::TraceIOFailed, std::move(Err));
   return Out;
 }

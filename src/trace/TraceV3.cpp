@@ -366,12 +366,8 @@ struct perfplay::detail::V3TableState {
   std::vector<uint8_t> SiteDefined;
   uint32_t LocksDefined = 0;
   uint32_t SitesDefined = 0;
-  NameStorage Names = NameStorage::Owned;
 
-  StringId intern(std::string_view S) {
-    return Names == NameStorage::Borrowed ? Tr->Names.internBorrowed(S)
-                                          : Tr->Names.intern(S);
-  }
+  StringId intern(std::string_view S) { return Tr->Names.intern(S); }
 
   bool defineLock(uint32_t Id, uint8_t Spin, std::string_view Name,
                   std::string &Err) {
@@ -1134,7 +1130,6 @@ bool perfplay::parseTraceV3(const uint8_t *Data, size_t Size, Trace &Out,
 
   detail::V3TableState Tables;
   Tables.Tr = &Out;
-  Tables.Names = Opts.Names;
   Out.Locks.resize(F.NumLocks);
   Out.Sites.resize(F.NumSites);
   Tables.LockDefined.assign(F.NumLocks, 0);
@@ -1322,7 +1317,6 @@ bool WindowedReader::open(const std::string &Path, std::string &Err) {
 
   ReaderTables = std::make_unique<detail::V3TableState>();
   ReaderTables->Tr = &Tables;
-  ReaderTables->Names = NameStorage::Owned;
   Tables.Locks.resize(F.NumLocks);
   Tables.Sites.resize(F.NumSites);
   ReaderTables->LockDefined.assign(F.NumLocks, 0);

@@ -22,6 +22,7 @@
 #include <cstring>
 #include <string>
 #include <sys/socket.h>
+#include <sys/stat.h>
 #include <sys/un.h>
 #include <thread>
 #include <unistd.h>
@@ -340,6 +341,38 @@ TEST(ServeTest, ShutdownHandshakeAndTypedErrors) {
 
   Daemon.stop();
   EXPECT_TRUE(Daemon.stopping());
+}
+
+// A client can name any path.  A device must come back promptly as
+// the typed TraceIOFailed: /dev/zero never reaches EOF, and reading it
+// would grow one worker's buffer until the daemon runs out of memory.
+TEST(ServeTest, DevicePathIsATypedErrorNotARead) {
+  struct stat St;
+  if (::stat("/dev/zero", &St) != 0 || !S_ISCHR(St.st_mode))
+    GTEST_SKIP() << "/dev/zero is not a character device here";
+
+  Server Daemon(baseOptions(socketPath("device")));
+  startOrFail(Daemon);
+
+  ServeClient Client;
+  ASSERT_TRUE(Client.connect(Daemon.options().SocketPath).ok());
+
+  AnalyzeRequest Req;
+  Req.Path = "/dev/zero";
+  auto T0 = std::chrono::steady_clock::now();
+  Expected<ResultSummary> Dev = Client.analyze(Req);
+  auto Took = std::chrono::steady_clock::now() - T0;
+  ASSERT_FALSE(Dev.ok());
+  EXPECT_EQ(Dev.code(), ErrorCode::TraceIOFailed);
+  EXPECT_NE(Dev.message().find("/dev/zero"), std::string::npos)
+      << Dev.message();
+  EXPECT_LT(Took, std::chrono::seconds(5));
+
+  Expected<ServeStats> Final = Client.shutdown();
+  ASSERT_TRUE(Final.ok());
+  EXPECT_EQ(Final->RequestsFailed, 1u);
+  EXPECT_EQ(Final->ProtocolErrors, 0u);
+  Daemon.stop();
 }
 
 // A connection the daemon accepts while it stops must be answered.

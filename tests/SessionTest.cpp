@@ -632,41 +632,71 @@ TEST(SessionTest, CappedDetectThreadsBoundsTheProduct) {
 //===----------------------------------------------------------------------===//
 
 TEST(SessionTest, OpenSessionFromFileMatchesInMemorySession) {
-  std::string Path = testing::TempDir() + "perfplay_session.btrace";
+  Engine Eng;
   std::string Err;
-  ASSERT_TRUE(
-      saveTrace(figure1Trace(), Path, Err, TraceFormat::Binary))
+  for (TraceFormat Format :
+       {TraceFormat::Text, TraceFormat::Binary, TraceFormat::V3}) {
+    std::string Path = testing::TempDir() + "perfplay_session.trace";
+    ASSERT_TRUE(saveTrace(figure1Trace(), Path, Err, Format)) << Err;
+    Expected<AnalysisSession> FromFile = Eng.openSessionFromFile(Path);
+    ASSERT_TRUE(FromFile.ok()) << FromFile.message();
+    PipelineResult FileRun = FromFile->run();
+    ASSERT_TRUE(FileRun.ok()) << FileRun.Error;
+    expectSameResult(FileRun, runPerfPlay(figure1Trace()));
+    std::remove(Path.c_str());
+
+    Expected<AnalysisSession> Missing = Eng.openSessionFromFile(Path);
+    ASSERT_FALSE(Missing.ok());
+    EXPECT_EQ(Missing.code(), ErrorCode::TraceIOFailed);
+  }
+}
+
+// A session owns every byte of its trace: the file it was opened from
+// may be rewritten in place — here with different lock names and a
+// shorter length — without the session seeing the new bytes.  (A
+// session that kept names pointing into a live file mapping would
+// read the new names, or take SIGBUS past the shortened end.)
+TEST(SessionTest, SessionOutlivesInPlaceRewriteOfItsFile) {
+  auto namedTrace = [](const std::string &Prefix, int Sections) {
+    TraceBuilder B;
+    LockId Mu = B.addLock(Prefix + "_mutex");
+    CodeSiteId Site = B.addSite(Prefix + ".cc", Prefix + "_fn", 1, 9);
+    ThreadId T1 = B.addThread();
+    ThreadId T2 = B.addThread();
+    for (int I = 0; I != Sections; ++I)
+      for (ThreadId T : {T1, T2}) {
+        B.compute(T, 100);
+        B.beginCs(T, Mu, Site);
+        B.read(T, 1, 0);
+        B.endCs(T);
+      }
+    return B.finish();
+  };
+  std::string Path = testing::TempDir() + "perfplay_session_rewrite.v3";
+  std::string Err;
+  ASSERT_TRUE(saveTrace(namedTrace("original_lock_name", 64), Path, Err,
+                        TraceFormat::V3))
       << Err;
 
   Engine Eng;
-  Expected<AnalysisSession> FromFile = Eng.openSessionFromFile(Path);
-  ASSERT_TRUE(FromFile.ok()) << FromFile.message();
-  // The zero-copy load path pins the mapping for the session's life.
-  EXPECT_NE(FromFile->backingMapping(), nullptr);
+  Expected<AnalysisSession> Session = Eng.openSessionFromFile(Path);
+  ASSERT_TRUE(Session.ok()) << Session.message();
 
-  PipelineResult FileRun = FromFile->run();
-  ASSERT_TRUE(FileRun.ok()) << FileRun.Error;
-  expectSameResult(FileRun, runPerfPlay(figure1Trace()));
-
-  // The explicit streaming mode carries no mapping.
-  Expected<AnalysisSession> Streamed =
-      Eng.openSessionFromFile(Path, TraceLoadMode::Stream);
-  ASSERT_TRUE(Streamed.ok()) << Streamed.message();
-  EXPECT_EQ(Streamed->backingMapping(), nullptr);
-  std::remove(Path.c_str());
-
-  // Text traces parse out of their own copy; nothing to pin.
-  std::string TextPath = testing::TempDir() + "perfplay_session.trace";
-  ASSERT_TRUE(saveTrace(figure1Trace(), TextPath, Err, TraceFormat::Text))
+  // saveTrace opens with "wb": the same inode, truncated and rewritten.
+  ASSERT_TRUE(saveTrace(namedTrace("REWRITTEN", 1), Path, Err,
+                        TraceFormat::V3))
       << Err;
-  Expected<AnalysisSession> FromText = Eng.openSessionFromFile(TextPath);
-  ASSERT_TRUE(FromText.ok()) << FromText.message();
-  EXPECT_EQ(FromText->backingMapping(), nullptr);
-  std::remove(TextPath.c_str());
 
-  Expected<AnalysisSession> Missing = Eng.openSessionFromFile(Path);
-  ASSERT_FALSE(Missing.ok());
-  EXPECT_EQ(Missing.code(), ErrorCode::TraceIOFailed);
+  EXPECT_EQ(Session->trace().lockName(0), "original_lock_name_mutex");
+  EXPECT_EQ(Session->trace().siteFile(0), "original_lock_name.cc");
+  Expected<const PerfDebugReport &> Report = Session->report();
+  ASSERT_TRUE(Report.ok()) << Report.message();
+  ASSERT_FALSE(Report->Groups.empty());
+  const std::string Rendered = renderReport(*Report);
+  EXPECT_NE(Rendered.find("original_lock_name.cc"), std::string::npos)
+      << Rendered;
+  EXPECT_EQ(Rendered.find("REWRITTEN"), std::string::npos) << Rendered;
+  std::remove(Path.c_str());
 }
 
 TEST(SessionTest, FileStreamingBatchLoadsLazilyAndIsolatesLoadFailures) {

@@ -5,14 +5,15 @@
 // corrupt input must fail with a typed diagnostic — and the inflated
 // counts specifically with "count exceeds file size" *before* any
 // allocation proportional to the forged count, so a hostile 12-byte
-// header can never OOM the loader.  Plus loader-mode parity: the
-// zero-copy mmap path and the copying stream path must parse
-// byte-identical traces from the same files.
+// header can never OOM the loader.  Plus the two file routes: a
+// regular file (mapped) and a FIFO (read) must parse byte-identical
+// traces from the same bytes and fail typed on the same corrupt ones.
 //
 //===----------------------------------------------------------------------===//
 
 #include "trace/TraceIO.h"
 
+#include "core/Engine.h"
 #include "record/Preload.h"
 #include "sim/Replayer.h"
 #include "support/MappedFile.h"
@@ -27,10 +28,9 @@
 #include <cstdio>
 #include <cstring>
 #include <thread>
+#include <vector>
 
-#if defined(__unix__) || defined(__APPLE__)
 #include <sys/stat.h>
-#endif
 
 using namespace perfplay;
 
@@ -76,6 +76,57 @@ std::string tempPath(const char *Name) {
 bool parseBytes(const std::vector<uint8_t> &Bytes, Trace &Out,
                 std::string &Err) {
   return parseTraceBinary(Bytes.data(), Bytes.size(), Out, Err);
+}
+
+void writeBytes(const std::string &Path, const std::vector<uint8_t> &Bytes) {
+  FILE *F = std::fopen(Path.c_str(), "wb");
+  ASSERT_NE(F, nullptr) << Path;
+  if (!Bytes.empty())
+    std::fwrite(Bytes.data(), 1, Bytes.size(), F);
+  std::fclose(F);
+}
+
+/// The two ways loadTrace gets a file's bytes: a regular file is
+/// mapped, anything else is read to EOF.  A FIFO stands in for every
+/// read source (pipes, /dev/stdin).
+enum class Route { RegularFile, Fifo };
+const Route Routes[] = {Route::RegularFile, Route::Fifo};
+
+const char *routeName(Route R) {
+  return R == Route::RegularFile ? "regular file" : "FIFO";
+}
+
+/// Hands \p Bytes to readTraceFile through \p R: written to a regular
+/// file, or fed into a FIFO by a writer thread.
+Expected<Trace> readThrough(Route R, const std::vector<uint8_t> &Bytes) {
+  std::string Path = tempPath("route.trace");
+  std::remove(Path.c_str());
+  if (R == Route::RegularFile) {
+    writeBytes(Path, Bytes);
+    Expected<Trace> Out = readTraceFile(Path);
+    std::remove(Path.c_str());
+    return Out;
+  }
+  if (::mkfifo(Path.c_str(), 0600) != 0) {
+    ADD_FAILURE() << "mkfifo: " << std::strerror(errno);
+    return PipelineError(ErrorCode::TraceIOFailed, "no FIFO");
+  }
+  std::thread Writer([&] {
+    FILE *F = std::fopen(Path.c_str(), "wb");
+    if (F) {
+      if (!Bytes.empty())
+        std::fwrite(Bytes.data(), 1, Bytes.size(), F);
+      std::fclose(F);
+    }
+  });
+  Expected<Trace> Out = readTraceFile(Path);
+  Writer.join();
+  std::remove(Path.c_str());
+  return Out;
+}
+
+std::vector<uint8_t> bytesOf(const std::string &S) {
+  return std::vector<uint8_t>(S.begin(), S.end());
 }
 
 } // namespace
@@ -228,60 +279,90 @@ TEST(TraceIOCorruptTest, TextEventCountBeyondInputFails) {
 }
 
 //===----------------------------------------------------------------------===//
-// Loader-mode parity and typed file errors
+// File routes and typed file errors
 //===----------------------------------------------------------------------===//
 
-// The acceptance bar for the zero-copy path: on round-tripped traces
-// of both formats, mmap and stream loads are byte-identical.
-TEST(TraceIOCorruptTest, MmapAndStreamLoadsAreByteIdentical) {
+// On round-tripped traces of every format, the mapped route (regular
+// file) and the read route (FIFO) parse byte-identical traces.
+TEST(TraceIOCorruptTest, RegularFileAndFifoLoadsAreByteIdentical) {
   const size_t Apps[] = {0, 4, 9};
   for (size_t AppIdx : Apps) {
     const AppModel &App = allApps()[AppIdx];
     Trace Tr = generateWorkload(App.Factory(2, 0.25));
     recordGrantSchedule(Tr, 11);
     const std::string Golden = writeTraceText(Tr);
-
-    for (TraceFormat Format : {TraceFormat::Text, TraceFormat::Binary}) {
-      std::string Path = tempPath(App.Name.c_str());
-      std::string Err;
-      ASSERT_TRUE(saveTrace(Tr, Path, Err, Format)) << Err;
-      for (TraceLoadMode Mode : {TraceLoadMode::Auto, TraceLoadMode::Mmap,
-                                 TraceLoadMode::Stream}) {
-        Trace Back;
-        ASSERT_TRUE(loadTrace(Path, Back, Err, Mode))
-            << App.Name << ": " << Err;
-        EXPECT_EQ(writeTraceText(Back), Golden) << App.Name;
+    const std::vector<uint8_t> Encodings[] = {
+        bytesOf(Golden), writeTraceBinary(Tr), writeTraceV3(Tr)};
+    for (const std::vector<uint8_t> &Bytes : Encodings)
+      for (Route R : Routes) {
+        Expected<Trace> Back = readThrough(R, Bytes);
+        ASSERT_TRUE(Back.ok())
+            << App.Name << " via " << routeName(R) << ": " << Back.message();
+        EXPECT_EQ(writeTraceText(*Back), Golden)
+            << App.Name << " via " << routeName(R);
       }
-      std::remove(Path.c_str());
-    }
   }
 }
 
 TEST(TraceIOCorruptTest, ReadTraceFileReportsTypedErrors) {
-  Expected<Trace> Missing =
-      readTraceFile(tempPath("does_not_exist.trace"));
+  std::string MissingPath = tempPath("does_not_exist.trace");
+  Expected<Trace> Missing = readTraceFile(MissingPath);
   ASSERT_FALSE(Missing.ok());
   EXPECT_EQ(Missing.code(), ErrorCode::TraceIOFailed);
   EXPECT_STREQ(errorCodeName(Missing.code()), "trace-io-failed");
+  EXPECT_NE(Missing.message().find(MissingPath), std::string::npos)
+      << Missing.message();
 
   // A hostile header through the file API carries the same typed
-  // diagnostic.
-  std::string Path = tempPath("hostile.btrace");
+  // diagnostic on both routes.
   std::vector<uint8_t> Bytes = magicOnly();
   appendU32(Bytes, 0xFFFFFFFFu);
-  FILE *F = std::fopen(Path.c_str(), "wb");
-  ASSERT_NE(F, nullptr);
-  std::fwrite(Bytes.data(), 1, Bytes.size(), F);
-  std::fclose(F);
-  for (TraceLoadMode Mode : {TraceLoadMode::Mmap, TraceLoadMode::Stream}) {
-    Expected<Trace> Hostile = readTraceFile(Path, Mode);
-    ASSERT_FALSE(Hostile.ok());
-    EXPECT_EQ(Hostile.code(), ErrorCode::TraceIOFailed);
+  for (Route R : Routes) {
+    Expected<Trace> Hostile = readThrough(R, Bytes);
+    ASSERT_FALSE(Hostile.ok()) << routeName(R);
+    EXPECT_EQ(Hostile.code(), ErrorCode::TraceIOFailed) << routeName(R);
     EXPECT_NE(Hostile.message().find("count exceeds file size"),
               std::string::npos)
-        << Hostile.message();
+        << routeName(R) << ": " << Hostile.message();
   }
-  std::remove(Path.c_str());
+}
+
+// A read that fails is an I/O error naming the path — not a short
+// input handed to the text parser ("unexpected end of trace text").
+// A directory opens fine and then fails its first read with EISDIR.
+// A device is refused at open, not read: /dev/zero never reaches EOF,
+// so reading it would grow the buffer until memory runs out.
+TEST(TraceIOCorruptTest, DirectoryIsAnIOErrorNamingThePath) {
+  std::string Dir = tempPath("dir");
+  std::remove(Dir.c_str());
+  ASSERT_EQ(::mkdir(Dir.c_str(), 0700), 0) << std::strerror(errno);
+
+  struct Case {
+    std::string Path;
+    const char *Why;
+  };
+  std::vector<Case> Cases = {{Dir, "read error"}};
+  struct stat St;
+  if (::stat("/dev/zero", &St) == 0 && S_ISCHR(St.st_mode))
+    Cases.push_back({"/dev/zero", "not a regular file or pipe"});
+
+  for (const Case &C : Cases) {
+    SCOPED_TRACE(C.Path);
+    Expected<Trace> Read = readTraceFile(C.Path);
+    ASSERT_FALSE(Read.ok());
+    EXPECT_EQ(Read.code(), ErrorCode::TraceIOFailed);
+    EXPECT_NE(Read.message().find(C.Path), std::string::npos)
+        << Read.message();
+    EXPECT_NE(Read.message().find(C.Why), std::string::npos)
+        << Read.message();
+
+    Expected<AnalysisSession> Session = Engine().openSessionFromFile(C.Path);
+    ASSERT_FALSE(Session.ok());
+    EXPECT_EQ(Session.code(), ErrorCode::TraceIOFailed);
+    EXPECT_NE(Session.message().find(C.Path), std::string::npos)
+        << Session.message();
+  }
+  ::rmdir(Dir.c_str());
 }
 
 TEST(TraceIOCorruptTest, ReadTraceFileRoundTrips) {
@@ -321,54 +402,6 @@ TEST(TraceIOCorruptTest, ParseTraceBufferDispatchesBothFormats) {
   EXPECT_FALSE(parseTraceBuffer(nullptr, 0, FromEmpty, Err));
   EXPECT_FALSE(Err.empty());
 }
-
-#if defined(__unix__) || defined(__APPLE__)
-// Pipes stat as size-0 and cannot be mapped; the Auto loader must
-// stream them (with a single open — a failed map attempt would eat
-// the FIFO's read end) exactly as the pre-mmap loader did.
-TEST(TraceIOCorruptTest, AutoModeStreamsFromFifos) {
-  Trace Tr = generateWorkload(makeTransmissionBT(2, 0.25));
-  recordGrantSchedule(Tr, 3);
-  const std::string Text = writeTraceText(Tr);
-
-  std::string Fifo = tempPath("pipe.trace");
-  std::remove(Fifo.c_str());
-  ASSERT_EQ(::mkfifo(Fifo.c_str(), 0600), 0) << strerror(errno);
-  EXPECT_FALSE(MappedFile::isMappablePath(Fifo));
-  std::thread Writer([&] {
-    FILE *F = std::fopen(Fifo.c_str(), "wb");
-    if (F) {
-      std::fwrite(Text.data(), 1, Text.size(), F);
-      std::fclose(F);
-    }
-  });
-  Trace Out;
-  std::string Err;
-  EXPECT_TRUE(loadTrace(Fifo, Out, Err)) << Err; // Auto is the default
-  Writer.join();
-  EXPECT_EQ(writeTraceText(Out), Text);
-
-  // Explicit Stream mode must open the pipe exactly once too.
-  std::thread Writer2([&] {
-    FILE *F = std::fopen(Fifo.c_str(), "wb");
-    if (F) {
-      std::fwrite(Text.data(), 1, Text.size(), F);
-      std::fclose(F);
-    }
-  });
-  Trace Out2;
-  EXPECT_TRUE(loadTrace(Fifo, Out2, Err, TraceLoadMode::Stream)) << Err;
-  Writer2.join();
-  EXPECT_EQ(writeTraceText(Out2), Text);
-
-  // Explicit Mmap on a FIFO is rejected immediately (no blocking open,
-  // no consumed read end, no bogus empty-parse diagnostic).
-  Trace Out3;
-  EXPECT_FALSE(loadTrace(Fifo, Out3, Err, TraceLoadMode::Mmap));
-  EXPECT_NE(Err.find("not a regular file"), std::string::npos) << Err;
-  std::remove(Fifo.c_str());
-}
-#endif
 
 //===----------------------------------------------------------------------===//
 // v3 mutation corpus
@@ -753,6 +786,85 @@ TEST(TraceIOCorruptTest, V3ExtendedEveryTruncationFailsGracefully) {
   }
 }
 
+// Every kind of corrupt input — v1, text, v3 and a recorder corpse —
+// fails typed through both file routes, with the same diagnostic the
+// in-memory parser gives.
+TEST(TraceIOCorruptTest, CorruptCorpusFailsTypedOnBothRoutes) {
+  std::vector<std::pair<std::string, std::vector<uint8_t>>> Corpus;
+  {
+    std::vector<uint8_t> Bytes = magicOnly();
+    appendU32(Bytes, 0xFFFFFFFFu);
+    Corpus.emplace_back("v1 12-byte hostile header", Bytes);
+  }
+  for (size_t Table = 0; Table != 6; ++Table) {
+    std::vector<uint8_t> Bytes = emptyTraceBytes();
+    patchU32(Bytes, sizeof(Magic) + 4 * Table, 0x7FFFFFFFu);
+    Corpus.emplace_back("v1 inflated table " + std::to_string(Table),
+                        Bytes);
+  }
+  const std::vector<uint8_t> V1 = realTraceBytes();
+  {
+    std::vector<uint8_t> Bytes = V1;
+    Bytes[3] ^= 0x20;
+    Corpus.emplace_back("v1 bad magic", Bytes);
+  }
+  Corpus.emplace_back("v1 truncated",
+                      std::vector<uint8_t>(V1.begin(),
+                                           V1.begin() + V1.size() / 2));
+  Corpus.emplace_back("empty input", std::vector<uint8_t>());
+  Corpus.emplace_back("text schedule count",
+                      bytesOf("perfplay-trace-v1\nlocks 0\nsites 0\n"
+                              "locksets 0\nconstraints 0\n"
+                              "schedule 4000000000\n"));
+  const std::vector<uint8_t> V3 = realV3Bytes();
+  {
+    std::vector<uint8_t> Bytes = V3;
+    Bytes[Bytes.size() - 1] ^= 0x20;
+    Corpus.emplace_back("v3 bad footer magic", Bytes);
+  }
+  {
+    std::vector<uint8_t> Bytes = V3;
+    patchU32(Bytes, Bytes.size() - V3FootNumLocks, 0xFFFFFFFFu);
+    Corpus.emplace_back("v3 inflated lock count", Bytes);
+  }
+  Corpus.emplace_back("v3 truncated",
+                      std::vector<uint8_t>(V3.begin(), V3.end() - 1));
+  {
+    // A recorder killed mid-flush: chunks, no directory, no footer.
+    std::vector<uint8_t> Bytes;
+    TraceV3Writer W(
+        [&](const void *Data, size_t Size) {
+          const uint8_t *P = static_cast<const uint8_t *>(Data);
+          Bytes.insert(Bytes.end(), P, P + Size);
+          return true;
+        },
+        /*TargetChunkBytes=*/128);
+    uint32_t L = W.addLock(false, "mutex@0xdead");
+    W.beginThread(0);
+    W.append(Event::threadStart());
+    for (int I = 0; I != 200; ++I) {
+      W.append(Event::lockAcquire(L, InvalidId));
+      W.append(Event::lockRelease(L));
+    }
+    ASSERT_FALSE(Bytes.empty());
+    Corpus.emplace_back("recorder corpse", Bytes);
+  }
+
+  for (const auto &[Name, Bytes] : Corpus) {
+    Trace InMemory;
+    std::string Err;
+    ASSERT_FALSE(parseTraceBuffer(Bytes.data(), Bytes.size(), InMemory, Err))
+        << Name;
+    for (Route R : Routes) {
+      Expected<Trace> Got = readThrough(R, Bytes);
+      ASSERT_FALSE(Got.ok()) << Name << " via " << routeName(R);
+      EXPECT_EQ(Got.code(), ErrorCode::TraceIOFailed)
+          << Name << " via " << routeName(R);
+      EXPECT_EQ(Got.message(), Err) << Name << " via " << routeName(R);
+    }
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // MappedFile mechanics
 //===----------------------------------------------------------------------===//
@@ -779,7 +891,7 @@ TEST(TraceIOCorruptTest, MappedFileBasics) {
   ASSERT_TRUE(File.open(Small, Err)) << Err;
   ASSERT_EQ(File.size(), 8u);
   EXPECT_EQ(std::memcmp(File.data(), "perfplay", 8), 0);
-  EXPECT_EQ(File.isMapped(), MappedFile::supportsMapping());
+  EXPECT_TRUE(File.isMapped()) << "a regular file is mapped";
 
   // Moves transfer the view; the source is left closed.
   MappedFile Moved = std::move(File);
@@ -788,6 +900,26 @@ TEST(TraceIOCorruptTest, MappedFileBasics) {
   Moved.close();
   EXPECT_EQ(Moved.data(), nullptr);
   std::remove(Small.c_str());
+
+  // A FIFO is read, not mapped, through its one open: the writer's
+  // bytes all arrive.
+  std::string Fifo = tempPath("basics.fifo");
+  std::remove(Fifo.c_str());
+  ASSERT_EQ(::mkfifo(Fifo.c_str(), 0600), 0) << std::strerror(errno);
+  std::thread Writer([&] {
+    FILE *W = std::fopen(Fifo.c_str(), "wb");
+    if (W) {
+      std::fputs("perfplay", W);
+      std::fclose(W);
+    }
+  });
+  EXPECT_TRUE(File.open(Fifo, Err)) << Err;
+  Writer.join();
+  EXPECT_FALSE(File.isMapped());
+  ASSERT_EQ(File.size(), 8u);
+  EXPECT_EQ(std::memcmp(File.data(), "perfplay", 8), 0);
+  File.close();
+  std::remove(Fifo.c_str());
 }
 
 // -----------------------------------------------------------------------------

@@ -1,6 +1,5 @@
 //===- tests/TraceIOTest.cpp - trace serialization tests --------------------===//
 
-#include "support/MappedFile.h"
 #include "trace/TraceBuilder.h"
 #include "trace/TraceIO.h"
 #include "trace/TraceV3.h"
@@ -374,32 +373,12 @@ TEST(TraceIOTest, V3FileSaveAndAutoDetectLoad) {
   std::string Path = testing::TempDir() + "/perfplay_trace_io_test.v3trace";
   std::string Err;
   ASSERT_TRUE(saveTrace(Tr, Path, Err, TraceFormat::V3)) << Err;
-  // loadTrace sniffs the magic bytes: no format hint needed, in every
-  // loader mode.
-  for (TraceLoadMode Mode :
-       {TraceLoadMode::Auto, TraceLoadMode::Mmap, TraceLoadMode::Stream}) {
-    Trace Back;
-    ASSERT_TRUE(loadTrace(Path, Back, Err, Mode)) << Err;
-    expectTracesEqual(Tr, Back);
-  }
-  // Borrowed names parse straight out of the pinned mapping.
-  {
-    MappedFile File;
-    Trace Borrowed;
-    TraceLoadInfo Info;
-    ASSERT_TRUE(loadTraceKeepMapping(Path, Borrowed, Err, File,
-                                     TraceLoadMode::Mmap,
-                                     NameStorage::Borrowed, &Info))
-        << Err;
-    expectTracesEqual(Tr, Borrowed);
-    EXPECT_EQ(Info.Format, TraceFormat::V3);
-    if (File.isMapped()) {
-      EXPECT_TRUE(Info.UsedMmap);
-      EXPECT_TRUE(Info.BorrowedNames);
-      EXPECT_EQ(Borrowed.Names.stats().OwnedBytes, 0u)
-          << "borrowed parse must not copy names";
-    }
-  }
+  // loadTrace sniffs the magic bytes: no format hint needed.
+  Trace Back;
+  TraceFormat Format = TraceFormat::Text;
+  ASSERT_TRUE(loadTrace(Path, Back, Err, &Format)) << Err;
+  expectTracesEqual(Tr, Back);
+  EXPECT_EQ(Format, TraceFormat::V3);
   std::remove(Path.c_str());
 }
 
@@ -531,60 +510,46 @@ TEST(TraceIOTest, WindowedReaderStitchesWholeTrace) {
   std::remove(Path.c_str());
 }
 
-// Every loader mode — text, binary-stream, binary-mmap (owned names),
-// and binary-mmap with borrowed names via loadTraceKeepMapping — must
-// resolve the exact same names for every lock and site.
-TEST(TraceIOTest, NameParityAcrossLoaderModes) {
+// Every format must resolve the exact same names for every lock and
+// site, and loadTrace must report the format it sniffed.
+TEST(TraceIOTest, NameParityAcrossFormats) {
   Trace Tr = makeRichTrace();
   std::string Err;
-  std::string TextPath = testing::TempDir() + "/perfplay_parity.trace";
-  std::string BinPath = testing::TempDir() + "/perfplay_parity.btrace";
-  ASSERT_TRUE(saveTrace(Tr, TextPath, Err, TraceFormat::Text)) << Err;
-  ASSERT_TRUE(saveTrace(Tr, BinPath, Err, TraceFormat::Binary)) << Err;
+  const std::string Base = testing::TempDir() + "/perfplay_parity";
 
-  auto expectNamesMatch = [&](const Trace &Got, const char *Mode) {
-    ASSERT_EQ(Got.Locks.size(), Tr.Locks.size()) << Mode;
+  auto expectNamesMatch = [&](const Trace &Got, const char *What) {
+    ASSERT_EQ(Got.Locks.size(), Tr.Locks.size()) << What;
     for (size_t I = 0; I != Tr.Locks.size(); ++I)
       EXPECT_EQ(Got.lockName(static_cast<LockId>(I)),
                 Tr.lockName(static_cast<LockId>(I)))
-          << Mode << " lock " << I;
-    ASSERT_EQ(Got.Sites.size(), Tr.Sites.size()) << Mode;
+          << What << " lock " << I;
+    ASSERT_EQ(Got.Sites.size(), Tr.Sites.size()) << What;
     for (size_t I = 0; I != Tr.Sites.size(); ++I) {
       EXPECT_EQ(Got.siteFile(static_cast<CodeSiteId>(I)),
                 Tr.siteFile(static_cast<CodeSiteId>(I)))
-          << Mode << " site " << I;
+          << What << " site " << I;
       EXPECT_EQ(Got.siteFunction(static_cast<CodeSiteId>(I)),
                 Tr.siteFunction(static_cast<CodeSiteId>(I)))
-          << Mode << " site " << I;
+          << What << " site " << I;
     }
   };
 
-  Trace Got;
-  ASSERT_TRUE(loadTrace(TextPath, Got, Err, TraceLoadMode::Stream)) << Err;
-  expectNamesMatch(Got, "text/stream");
-  ASSERT_TRUE(loadTrace(TextPath, Got, Err, TraceLoadMode::Mmap)) << Err;
-  expectNamesMatch(Got, "text/mmap");
-  ASSERT_TRUE(loadTrace(BinPath, Got, Err, TraceLoadMode::Stream)) << Err;
-  expectNamesMatch(Got, "binary/stream");
-  ASSERT_TRUE(loadTrace(BinPath, Got, Err, TraceLoadMode::Mmap)) << Err;
-  expectNamesMatch(Got, "binary/mmap-owned");
-
-  // Borrowed storage: names are views into the (still open) mapping.
-  {
-    MappedFile File;
-    Trace Borrowed;
-    ASSERT_TRUE(loadTraceKeepMapping(BinPath, Borrowed, Err, File,
-                                     TraceLoadMode::Mmap,
-                                     NameStorage::Borrowed))
-        << Err;
-    expectNamesMatch(Borrowed, "binary/mmap-borrowed");
-    if (File.isMapped())
-      EXPECT_EQ(Borrowed.Names.stats().OwnedBytes, 0u)
-          << "borrowed parse must not copy names";
+  const struct {
+    TraceFormat Format;
+    const char *Name;
+  } Formats[] = {{TraceFormat::Text, "text"},
+                 {TraceFormat::Binary, "binary"},
+                 {TraceFormat::V3, "v3"}};
+  for (const auto &F : Formats) {
+    std::string Path = Base + "." + F.Name;
+    ASSERT_TRUE(saveTrace(Tr, Path, Err, F.Format)) << Err;
+    Trace Got;
+    TraceFormat Sniffed = TraceFormat::Text;
+    ASSERT_TRUE(loadTrace(Path, Got, Err, &Sniffed)) << Err;
+    EXPECT_EQ(Sniffed, F.Format) << F.Name;
+    expectNamesMatch(Got, F.Name);
+    std::remove(Path.c_str());
   }
-
-  std::remove(TextPath.c_str());
-  std::remove(BinPath.c_str());
 }
 
 TEST(TraceIOTest, EmptyTraceRoundTrips) {

@@ -36,7 +36,6 @@
 #include "sim/LockElision.h"
 #include "sim/Timeline.h"
 #include "support/Format.h"
-#include "support/MappedFile.h"
 #include "support/Stats.h"
 #include "support/Table.h"
 #include "debug/CsvExport.h"
@@ -153,13 +152,12 @@ int usage() {
       "  perfplay analyze <trace> [<trace> ...] [--pairs adjacent|all]"
       " [--races]\n"
       "                  [--timeline] [--csv] [--progress] [--threads N]\n"
-      "                  [--detect-threads N] [--no-dedup]"
-      " [--mmap|--no-mmap]\n"
+      "                  [--detect-threads N] [--no-dedup]\n"
       "                  [--set-repr auto|sorted|bitset]"
       " [--window-events N]\n"
       "  perfplay replay <trace> [--scheme orig|elsc|sync|mem|sle|htm]"
       " [--seed N]\n"
-      "                 [--replays K] [--mmap|--no-mmap]\n"
+      "                 [--replays K]\n"
       "                 [--htm-capacity N] [--htm-retries N]"
       " [--abort-penalty NS]\n"
       "                 [--abort-rate R]\n"
@@ -169,8 +167,8 @@ int usage() {
       " --\n"
       "                 <program> [args...]\n"
       "  perfplay casestudy <bug1|bug2|mysql> [--threads N] [--scale S]\n"
-      "  perfplay convert <trace> [--out FILE] [--mmap|--no-mmap]\n"
-      "  perfplay stats <trace> [--verbose] [--mmap|--no-mmap]\n"
+      "  perfplay convert <trace> [--out FILE]\n"
+      "  perfplay stats <trace> [--verbose]\n"
       "  perfplay serve --socket PATH [--workers N]"
       " [--cache-budget BYTES]\n"
       "                [--max-queue N] [--idle-timeout MS]\n"
@@ -179,9 +177,6 @@ int usage() {
       "                 [--no-cache]\n"
       "  perfplay client --socket PATH stats|shutdown\n"
       "options accept both '--name value' and '--name=value';\n"
-      "trace files are memory-mapped by default (zero-copy for binary"
-      " traces),\n"
-      "--no-mmap streams them through stdio instead;\n"
       "analyze --window-events streams a chunked v3 trace through"
       " bounded-memory\n"
       "windowed detection (detection only; 0 = one chunk per window);\n"
@@ -243,16 +238,6 @@ bool parseTraceFormat(const std::string &S, TraceFormat &Out) {
     return false;
   }
   return true;
-}
-
-/// Consumes the loader-mode flags: the default memory-maps trace files
-/// (zero-copy for binary traces), --no-mmap forces the stdio streaming
-/// path, --mmap forces mapping even where Auto would not help.
-TraceLoadMode loadModeFromArgs(ArgList &Args) {
-  bool ForceMmap = Args.flag("--mmap");
-  if (Args.flag("--no-mmap"))
-    return TraceLoadMode::Stream;
-  return ForceMmap ? TraceLoadMode::Mmap : TraceLoadMode::Auto;
 }
 
 int cmdListApps() {
@@ -320,14 +305,14 @@ int cmdGenerate(ArgList &Args) {
 
 /// Batch mode of `perfplay analyze`: several traces analyzed
 /// concurrently via Engine::analyzeBatchFilesStreaming — each worker
-/// loads its own file on demand (zero-copy mmap by default) and each
+/// loads its own file on demand and each
 /// result is formatted and discarded as it completes, so the batch
 /// never holds every trace or every PipelineResult at once.  A small
 /// reorder buffer of formatted lines flushes them in trace order,
 /// keeping the output deterministic across runs and thread counts.
 /// An unreadable or corrupt file fails only its own line.
 int analyzeBatchMode(Engine &Eng, const std::vector<std::string> &Paths,
-                     unsigned Threads, bool Races, TraceLoadMode Mode) {
+                     unsigned Threads, bool Races) {
   struct PendingLine {
     bool Ready = false;
     bool IsError = false;
@@ -381,7 +366,7 @@ int analyzeBatchMode(Engine &Eng, const std::vector<std::string> &Paths,
   };
 
   AggregatedReport Agg =
-      Eng.analyzeBatchFilesStreaming(Paths, Consumer, Threads, Mode);
+      Eng.analyzeBatchFilesStreaming(Paths, Consumer, Threads);
   std::printf("\n%s", renderAggregatedReport(Agg).c_str());
   return Status;
 }
@@ -417,7 +402,6 @@ int cmdAnalyze(ArgList &Args) {
     }
     WindowEvents = V;
   }
-  TraceLoadMode Mode = loadModeFromArgs(Args);
   std::vector<std::string> Paths;
   for (std::string P = Args.positional(); !P.empty();
        P = Args.positional())
@@ -476,17 +460,14 @@ int cmdAnalyze(ArgList &Args) {
     if (Timeline || Csv)
       std::fprintf(stderr, "warning: --timeline/--csv apply only to "
                            "single-trace analyze; ignored\n");
-    return analyzeBatchMode(Eng, Paths, Threads, Races, Mode);
+    return analyzeBatchMode(Eng, Paths, Threads, Races);
   }
   if (Threads != 0)
     std::fprintf(stderr, "warning: --threads parallelizes across traces "
                          "and is ignored for a single trace; use "
                          "--detect-threads to parallelize detection\n");
 
-  // The session pins the file mapping (zero-copy binary loads) for as
-  // long as it analyzes the trace.
-  Expected<AnalysisSession> SessionOr =
-      Eng.openSessionFromFile(Paths[0], Mode);
+  Expected<AnalysisSession> SessionOr = Eng.openSessionFromFile(Paths[0]);
   if (!SessionOr) {
     std::fprintf(stderr, "error: %s\n", SessionOr.message().c_str());
     return 1;
@@ -547,12 +528,12 @@ int cmdAnalyze(ArgList &Args) {
 /// through the schedule-kind replayer.  Empty knob strings keep each
 /// model's own default (sle and htm differ on every one).
 int replaySpeculation(const std::string &SchemeName, const std::string &Path,
-                      TraceLoadMode Mode, uint64_t Seed, unsigned Replays,
+                      uint64_t Seed, unsigned Replays,
                       const std::string &Capacity, const std::string &Retries,
                       const std::string &Penalty, const std::string &Rate) {
   Trace Tr;
   std::string Err;
-  if (!loadTrace(Path, Tr, Err, Mode)) {
+  if (!loadTrace(Path, Tr, Err)) {
     std::fprintf(stderr, "error: %s\n", Err.c_str());
     return 1;
   }
@@ -628,13 +609,12 @@ int cmdReplay(ArgList &Args) {
   std::string Retries = Args.option("--htm-retries", "");
   std::string Penalty = Args.option("--abort-penalty", "");
   std::string Rate = Args.option("--abort-rate", "");
-  TraceLoadMode Mode = loadModeFromArgs(Args);
   std::string Path = Args.positional();
   if (Path.empty())
     return usage();
 
   if (SchemeName == "sle" || SchemeName == "htm")
-    return replaySpeculation(SchemeName, Path, Mode, Seed, Replays,
+    return replaySpeculation(SchemeName, Path, Seed, Replays,
                              Capacity, Retries, Penalty, Rate);
 
   ScheduleKind Scheme;
@@ -646,7 +626,7 @@ int cmdReplay(ArgList &Args) {
 
   Trace Tr;
   std::string Err;
-  if (!loadTrace(Path, Tr, Err, Mode)) {
+  if (!loadTrace(Path, Tr, Err)) {
     std::fprintf(stderr, "error: %s\n", Err.c_str());
     return 1;
   }
@@ -681,26 +661,18 @@ int cmdReplay(ArgList &Args) {
 
 int cmdStats(ArgList &Args) {
   bool Verbose = Args.flag("--verbose");
-  TraceLoadMode Mode = loadModeFromArgs(Args);
   std::string Path = Args.positional();
   if (Path.empty())
     return usage();
-  MappedFile File;
   Trace Tr;
   std::string Err;
-  TraceLoadInfo Info;
-  if (!loadTraceKeepMapping(Path, Tr, Err, File, Mode,
-                            NameStorage::Owned, &Info)) {
+  TraceFormat Format;
+  if (!loadTrace(Path, Tr, Err, &Format)) {
     std::fprintf(stderr, "error: %s\n", Err.c_str());
     return 1;
   }
-  if (Verbose) {
-    std::printf("load: format %s, served by %s\n", formatName(Info.Format),
-                Info.UsedMmap ? "mmap (zero-copy)" : "stream loader");
-    if (!Info.MmapDowngradeReason.empty())
-      std::printf("load: mmap downgraded: %s\n",
-                  Info.MmapDowngradeReason.c_str());
-  }
+  if (Verbose)
+    std::printf("load: format %s\n", formatName(Format));
   TraceSummary S = summarizeTrace(Tr);
   std::printf("%s", renderSummary(Tr, S).c_str());
   return 0;
@@ -711,25 +683,20 @@ int cmdStats(ArgList &Args) {
 /// the v3 bytes land in <path>.tmp first and rename() swaps them in,
 /// so a crash mid-write never clobbers the original.
 int cmdConvert(ArgList &Args) {
-  TraceLoadMode Mode = loadModeFromArgs(Args);
   std::string Out = Args.option("--out", "");
   std::string Path = Args.positional();
   if (Path.empty())
     return usage();
   bool InPlace = Out.empty();
 
-  MappedFile File;
   Trace Tr;
   std::string Err;
-  TraceLoadInfo Info;
-  // Owned names: the source mapping dies before the rename replaces
-  // the file, so nothing may borrow from it.
-  if (!loadTraceKeepMapping(Path, Tr, Err, File, Mode,
-                            NameStorage::Owned, &Info)) {
+  TraceFormat Format;
+  if (!loadTrace(Path, Tr, Err, &Format)) {
     std::fprintf(stderr, "error: %s\n", Err.c_str());
     return 1;
   }
-  if (InPlace && Info.Format == TraceFormat::V3) {
+  if (InPlace && Format == TraceFormat::V3) {
     std::printf("%s is already chunked v3; nothing to do\n", Path.c_str());
     return 0;
   }
@@ -752,7 +719,7 @@ int cmdConvert(ArgList &Args) {
   }
   std::printf("converted %s (%s) -> %s (v3): %u threads, %zu events, "
               "%zu critical sections\n",
-              Path.c_str(), formatName(Info.Format), Dest.c_str(),
+              Path.c_str(), formatName(Format), Dest.c_str(),
               Tr.numThreads(), Tr.numEvents(), Tr.numCriticalSections());
   return 0;
 }
