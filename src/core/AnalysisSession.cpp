@@ -3,8 +3,23 @@
 #include "core/AnalysisSession.h"
 
 #include <algorithm>
+#include <chrono>
 
 using namespace perfplay;
+
+namespace {
+
+using StageClock = std::chrono::steady_clock;
+
+/// Microseconds of wall time since \p Start (StageEvent::Micros).
+uint64_t microsSince(StageClock::time_point Start) {
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          StageClock::now() - Start)
+          .count());
+}
+
+} // namespace
 
 const char *perfplay::errorCodeName(ErrorCode Code) {
   switch (Code) {
@@ -55,13 +70,15 @@ AnalysisSession::AnalysisSession(Trace Tr, PipelineOptions Opts,
     : Tr(std::move(Tr)), Opts(std::move(Opts)),
       Progress(std::move(Progress)) {}
 
-void AnalysisSession::emit(StageKind Stage, bool FromCache) {
+void AnalysisSession::emit(StageKind Stage, bool FromCache,
+                           uint64_t Micros) {
   if (!Progress)
     return;
   StageEvent Event;
   Event.Stage = Stage;
   Event.TraceIndex = TraceIndex;
   Event.FromCache = FromCache;
+  Event.Micros = Micros;
   Progress(Event);
 }
 
@@ -81,6 +98,7 @@ Expected<void> AnalysisSession::setup() {
   }
   SetupDone = true;
 
+  auto Start = StageClock::now();
   std::string Invalid = Tr.validate();
   if (!Invalid.empty()) {
     SetupError = PipelineError(ErrorCode::InvalidTrace,
@@ -99,7 +117,7 @@ Expected<void> AnalysisSession::setup() {
       return SetupError;
     }
   }
-  emit(StageKind::Record, /*FromCache=*/false);
+  emit(StageKind::Record, /*FromCache=*/false, microsSince(Start));
   return {};
 }
 
@@ -134,8 +152,9 @@ Expected<const DetectResult &> AnalysisSession::detect() {
   Expected<const CsIndex &> Idx = csIndex();
   if (!Idx)
     return Idx.error();
+  auto Start = StageClock::now();
   Detection.emplace(detectUlcps(Tr, *Idx, Opts.Detect));
-  emit(StageKind::Detect, /*FromCache=*/false);
+  emit(StageKind::Detect, /*FromCache=*/false, microsSince(Start));
   return *Detection;
 }
 
@@ -147,8 +166,9 @@ Expected<const TransformResult &> AnalysisSession::transform() {
   Expected<const CsIndex &> Idx = csIndex();
   if (!Idx)
     return Idx.error();
+  auto Start = StageClock::now();
   Transformation.emplace(transformTrace(Tr, *Idx));
-  emit(StageKind::Transform, /*FromCache=*/false);
+  emit(StageKind::Transform, /*FromCache=*/false, microsSince(Start));
   return *Transformation;
 }
 
@@ -167,6 +187,7 @@ const ReplayResult &AnalysisSession::replayEntry(bool Transformed,
   RO.Schedule = Kind;
   RO.Seed = Seed;
   const Trace &Target = Transformed ? Transformation->Transformed : Tr;
+  auto Start = StageClock::now();
   It = Replays
            .emplace(Key, ReplayCacheEntry{replayTrace(Target, RO), {}})
            .first;
@@ -182,7 +203,7 @@ const ReplayResult &AnalysisSession::replayEntry(bool Transformed,
       LruOrder.pop_back();
     }
   }
-  emit(StageKind::Replay, /*FromCache=*/false);
+  emit(StageKind::Replay, /*FromCache=*/false, microsSince(Start));
   return It->second.Result;
 }
 
@@ -234,9 +255,10 @@ Expected<const PerfDebugReport &> AnalysisSession::report() {
       replayTransformed(Opts.Replay.Schedule);
   if (!Free)
     return Free.error();
+  auto Start = StageClock::now();
   Rpt.emplace(
       buildReport(Tr, *Index, Det->unnecessaryPairs(), *Orig, *Free));
-  emit(StageKind::Report, /*FromCache=*/false);
+  emit(StageKind::Report, /*FromCache=*/false, microsSince(Start));
   return *Rpt;
 }
 
@@ -248,12 +270,13 @@ Expected<const std::vector<RaceReport> &> AnalysisSession::races() {
   Expected<const TransformResult &> Tx = transform();
   if (!Tx)
     return Tx.error();
+  auto Start = StageClock::now();
   Expected<std::vector<RaceReport>> Found =
       checkRaces(Tx->Transformed, *Index, Tx->Topology);
   if (!Found)
     return Found.error();
   Races.emplace(std::move(*Found));
-  emit(StageKind::RaceCheck, /*FromCache=*/false);
+  emit(StageKind::RaceCheck, /*FromCache=*/false, microsSince(Start));
   return *Races;
 }
 

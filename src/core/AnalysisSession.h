@@ -138,6 +138,10 @@ struct StageEvent {
   size_t TraceIndex = 0;
   /// True when the stage's result was already memoized and no work ran.
   bool FromCache = false;
+  /// Wall time of the stage's own work, in microseconds: prerequisite
+  /// stages it ran on demand report their own events and are not
+  /// counted.  0 when FromCache.
+  uint64_t Micros = 0;
 };
 
 /// Per-stage progress callback.  Engine::analyzeBatch() serializes
@@ -285,7 +289,7 @@ private:
   const ReplayResult &replayEntry(bool Transformed, ScheduleKind Kind,
                                   uint64_t Seed);
 
-  void emit(StageKind Stage, bool FromCache);
+  void emit(StageKind Stage, bool FromCache, uint64_t Micros = 0);
 
   Trace Tr;
   PipelineOptions Opts;

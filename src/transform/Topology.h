@@ -81,10 +81,24 @@ private:
 /// RULE 1: builds the ULCP-free causal topology of \p Tr.
 ///
 /// For every critical section A (in per-lock recorded order), and for
-/// every other thread U, scan U's same-lock critical sections that
-/// follow A in the recorded order; the first that classifies as a true
-/// contention pair with A receives a causal edge A -> B.  ULCPs passed
-/// over on the way carry no edge.
+/// every other thread U, the first of U's same-lock critical sections
+/// after A that classifies as a true contention pair with A receives a
+/// causal edge A -> B.  ULCPs passed over on the way carry no edge.
+///
+/// The search is indexed, not a scan.  Per lock, flat sorted arrays
+/// list for every (address, thread) the positions of that thread's
+/// sections accessing the address and, separately, writing it, plus
+/// each thread's sections with condvar operations.  Only a section
+/// that accesses an address A writes, writes an address A reads, or
+/// (when A has a condvar operation) has one too can classify as true
+/// contention with A, so for each thread the search jumps from one such
+/// candidate to the next and runs classifyPair on the candidates alone.
+/// Reversed-replay verdicts are memoized per section-key pair
+/// (detect/SectionKey.h): sections with equal keys classify alike.
+///
+/// Edges come out in the order a forward scan finds them: by A's
+/// position, then by the target's.  Each section appears once in its
+/// lock's order, so no edge repeats.
 TopologyGraph buildTopology(const Trace &Tr, const CsIndex &Index);
 
 } // namespace perfplay

@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <set>
 #include <string>
 
 using namespace perfplay;
@@ -12,9 +11,11 @@ using namespace perfplay;
 TransformResult perfplay::transformTrace(const Trace &Tr,
                                          const CsIndex &Index) {
   TransformResult Result;
+  // RULE 1 first: the search's scratch memory is released before the
+  // trace is copied, so the two never add up.
+  Result.Topology = buildTopology(Tr, Index);
   Result.Transformed = Tr;
   Trace &Out = Result.Transformed;
-  Result.Topology = buildTopology(Tr, Index);
   const TopologyGraph &Topo = Result.Topology;
   size_t NumCs = Index.size();
 
@@ -72,23 +73,21 @@ TransformResult perfplay::transformTrace(const Trace &Tr,
   // order must survive, and the dynamic locking strategy relies on a
   // source being granted before its targets); (b) for each original
   // lock, the chain of causal-edge nodes in the recorded grant order.
-  std::set<std::pair<uint32_t, uint32_t>> Emitted;
-  auto addConstraint = [&](uint32_t Before, uint32_t After) {
-    if (Before == After)
-      return;
-    if (Emitted.insert({Before, After}).second)
-      Out.Constraints.push_back(OrderConstraint{Before, After});
-  };
+  // Topology edges are unique, and a chain link can only repeat the
+  // edge between the same two nodes, so no constraint is emitted twice.
   for (const TopologyEdge &E : Topo.edges())
-    addConstraint(E.From, E.To);
+    Out.Constraints.push_back(OrderConstraint{E.From, E.To});
   for (LockId L = 0; L != Index.numLocks(); ++L) {
     const std::vector<uint32_t> &Order = Index.sectionsOfLock(L);
     uint32_t PrevCausal = InvalidId;
     for (uint32_t Cs : Order) {
       if (Topo.isStandalone(Cs))
         continue;
-      if (PrevCausal != InvalidId)
-        addConstraint(PrevCausal, Cs);
+      if (PrevCausal != InvalidId) {
+        const std::vector<uint32_t> &Succ = Topo.successors(PrevCausal);
+        if (std::find(Succ.begin(), Succ.end(), Cs) == Succ.end())
+          Out.Constraints.push_back(OrderConstraint{PrevCausal, Cs});
+      }
       PrevCausal = Cs;
     }
   }

@@ -290,6 +290,36 @@ TEST(SessionTest, ProgressEventsDistinguishCacheHits) {
     EXPECT_TRUE(E.FromCache) << stageKindName(E.Stage);
 }
 
+TEST(SessionTest, ProgressEventsCarryStageTime) {
+  Engine Eng;
+  std::vector<StageEvent> Events;
+  Eng.setProgressCallback(
+      [&Events](const StageEvent &E) { Events.push_back(E); });
+  const AppModel &App = realWorldApps().front();
+  AnalysisSession Session = Eng.openSession(
+      generateWorkload(App.Factory(4, 1.0)));
+
+  ASSERT_TRUE(Session.transform().ok());
+  auto Transform = [&Events] {
+    for (const StageEvent &E : Events)
+      if (E.Stage == StageKind::Transform)
+        return E;
+    ADD_FAILURE() << "no transform event";
+    return StageEvent();
+  };
+  StageEvent Fresh = Transform();
+  EXPECT_FALSE(Fresh.FromCache);
+  EXPECT_GT(Fresh.Micros, 0u);
+  for (const StageEvent &E : Events)
+    EXPECT_FALSE(E.FromCache) << stageKindName(E.Stage);
+
+  Events.clear();
+  ASSERT_TRUE(Session.transform().ok());
+  StageEvent Cached = Transform();
+  EXPECT_TRUE(Cached.FromCache);
+  EXPECT_EQ(Cached.Micros, 0u);
+}
+
 //===----------------------------------------------------------------------===//
 // Typed errors
 //===----------------------------------------------------------------------===//

@@ -45,6 +45,7 @@
 #include "workloads/Apps.h"
 #include "workloads/CaseStudies.h"
 
+#include <algorithm>
 #include <cctype>
 #include <climits>
 #include <cstdio>
@@ -65,7 +66,8 @@ namespace {
 /// Minimal flag cursor over argv.  Commands consume their options
 /// (option()/flag()) before positionals so option values — including
 /// negative numbers like "--seed -1" — are never mistaken for
-/// positional arguments.
+/// positional arguments.  A flag no option()/flag() call consumed is
+/// a usage error (finishOptions()).
 class ArgList {
 public:
   ArgList(int Argc, char **Argv) : Args(Argv + 1, Argv + Argc) {}
@@ -92,6 +94,7 @@ public:
 
   /// Returns the value of --name VALUE or --name=VALUE, or Default.
   std::string option(const char *Name, std::string Default) {
+    Asked.push_back(Name);
     std::string Prefix = std::string(Name) + "=";
     for (size_t I = 0; I != Args.size(); ++I) {
       if (Args[I] == Name && I + 1 < Args.size()) {
@@ -119,8 +122,27 @@ public:
     return false;
   }
 
+  /// Call once \p Cmd has taken all of its options: reports the first
+  /// flag left over and returns false (the command then exits 2).
+  bool finishOptions(const char *Cmd) const {
+    for (const std::string &Arg : Args) {
+      if (!isFlag(Arg))
+        continue;
+      if (std::find(Asked.begin(), Asked.end(), Arg) != Asked.end())
+        std::fprintf(stderr, "error: %s option '%s' expects a value\n", Cmd,
+                     Arg.c_str());
+      else
+        std::fprintf(stderr, "error: unknown %s option '%s'\n", Cmd,
+                     Arg.c_str());
+      return false;
+    }
+    return true;
+  }
+
 private:
   std::vector<std::string> Args;
+  /// Names passed to option(), to tell a missing value from a typo.
+  std::vector<std::string> Asked;
 };
 
 /// Parses a non-negative thread-count option value; rejects negatives
@@ -263,6 +285,8 @@ int cmdGenerate(ArgList &Args) {
   TraceFormat Format =
       Args.flag("--binary") ? TraceFormat::Binary : TraceFormat::Text;
   std::string FormatStr = Args.option("--format", "");
+  if (!Args.finishOptions("generate"))
+    return 2;
   if (!FormatStr.empty() && !parseTraceFormat(FormatStr, Format))
     return 2;
   std::string Name = Args.positional();
@@ -388,6 +412,8 @@ int cmdAnalyze(ArgList &Args) {
   if (!parseSetRepr(Args.option("--set-repr", "auto"), Repr))
     return 2;
   std::string WindowStr = Args.option("--window-events", "");
+  if (!Args.finishOptions("analyze"))
+    return 2;
   bool Windowed = !WindowStr.empty();
   uint64_t WindowEvents = 0;
   if (Windowed) {
@@ -420,8 +446,9 @@ int cmdAnalyze(ArgList &Args) {
   if (Progress)
     Eng.setProgressCallback([](const StageEvent &Event) {
       if (!Event.FromCache)
-        std::fprintf(stderr, "[stage] #%zu %s\n", Event.TraceIndex,
-                     stageKindName(Event.Stage));
+        std::fprintf(stderr, "[stage] #%zu %s %.3f ms\n", Event.TraceIndex,
+                     stageKindName(Event.Stage),
+                     static_cast<double>(Event.Micros) / 1000.0);
     });
 
   // Out-of-core mode: stream the v3 trace through bounded-memory
@@ -609,6 +636,8 @@ int cmdReplay(ArgList &Args) {
   std::string Retries = Args.option("--htm-retries", "");
   std::string Penalty = Args.option("--abort-penalty", "");
   std::string Rate = Args.option("--abort-rate", "");
+  if (!Args.finishOptions("replay"))
+    return 2;
   std::string Path = Args.positional();
   if (Path.empty())
     return usage();
@@ -661,6 +690,8 @@ int cmdReplay(ArgList &Args) {
 
 int cmdStats(ArgList &Args) {
   bool Verbose = Args.flag("--verbose");
+  if (!Args.finishOptions("stats"))
+    return 2;
   std::string Path = Args.positional();
   if (Path.empty())
     return usage();
@@ -684,6 +715,8 @@ int cmdStats(ArgList &Args) {
 /// so a crash mid-write never clobbers the original.
 int cmdConvert(ArgList &Args) {
   std::string Out = Args.option("--out", "");
+  if (!Args.finishOptions("convert"))
+    return 2;
   std::string Path = Args.positional();
   if (Path.empty())
     return usage();
@@ -967,6 +1000,8 @@ int cmdCaseStudy(ArgList &Args) {
   P.NumThreads =
       static_cast<unsigned>(std::atoi(Args.option("--threads", "4").c_str()));
   P.InputScale = std::atof(Args.option("--scale", "1.0").c_str());
+  if (!Args.finishOptions("casestudy"))
+    return 2;
   std::string Which = Args.positional();
   if (Which.empty())
     return usage();
@@ -1024,22 +1059,25 @@ int cmdCaseStudy(ArgList &Args) {
 int cmdServe(ArgList &Args) {
   serve::ServerOptions Opts;
   Opts.SocketPath = Args.option("--socket", "");
+  std::string Workers = Args.option("--workers", "0");
+  std::string Budget = Args.option("--cache-budget", "67108864");
+  std::string MaxQueueStr = Args.option("--max-queue", "64");
+  std::string IdleTimeout = Args.option("--idle-timeout", "0");
+  if (!Args.finishOptions("serve"))
+    return 2;
   if (Opts.SocketPath.empty()) {
     std::fprintf(stderr, "error: serve requires --socket PATH\n");
     return 2;
   }
-  if (!parseThreadCount(Args.option("--workers", "0"), "--workers",
-                        Opts.NumWorkers))
+  if (!parseThreadCount(Workers, "--workers", Opts.NumWorkers))
     return 2;
-  Opts.CacheBudgetBytes = static_cast<size_t>(std::strtoull(
-      Args.option("--cache-budget", "67108864").c_str(), nullptr, 10));
+  Opts.CacheBudgetBytes =
+      static_cast<size_t>(std::strtoull(Budget.c_str(), nullptr, 10));
   unsigned MaxQueue;
-  if (!parseThreadCount(Args.option("--max-queue", "64"), "--max-queue",
-                        MaxQueue))
+  if (!parseThreadCount(MaxQueueStr, "--max-queue", MaxQueue))
     return 2;
   Opts.MaxQueueDepth = MaxQueue;
-  Opts.IdleTimeoutMs =
-      std::atoi(Args.option("--idle-timeout", "0").c_str());
+  Opts.IdleTimeoutMs = std::atoi(IdleTimeout.c_str());
 
   serve::Server Daemon(Opts);
   Expected<void> StartOr = Daemon.start();
@@ -1089,6 +1127,8 @@ int cmdClient(ArgList &Args) {
   std::string Socket = Args.option("--socket", "");
   std::string PairMode = Args.option("--pairs", "adjacent");
   bool NoCache = Args.flag("--no-cache");
+  if (!Args.finishOptions("client"))
+    return 2;
   std::string Action = Args.positional();
   if (Socket.empty() || Action.empty()) {
     std::fprintf(stderr, "error: client requires --socket PATH and an "
@@ -1161,7 +1201,7 @@ int main(int Argc, char **Argv) {
   ArgList Args(Argc, Argv);
   std::string Cmd = Args.positional();
   if (Cmd == "list-apps")
-    return cmdListApps();
+    return Args.finishOptions("list-apps") ? cmdListApps() : 2;
   if (Cmd == "generate")
     return cmdGenerate(Args);
   if (Cmd == "analyze")
